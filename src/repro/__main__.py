@@ -2,8 +2,14 @@
 
 Subcommands:
 
-* ``bench [--quick] [--out DIR]`` — run every paper experiment
-  (delegates to :mod:`repro.bench.harness`);
+* ``bench [--quick] [--out DIR] [--metrics-out FILE] [--faults SPEC]
+  [--check]`` — run every paper experiment (delegates to
+  :func:`repro.bench.harness.run_all`);
+* ``gate {prefetch,plan,simspeed,service,slo,live,critpath} [--quick]
+  [--out DIR]`` — run one CI bench gate, write ``DIR/BENCH_<name>.json``
+  and compare it with the committed ``BENCH_<name>.json`` (exit 0 ok,
+  1 conformance failure, 2 floor miss or baseline regression; see
+  :mod:`repro.bench.gate`);
 * ``kernels`` — list the registered workload kernels;
 * ``machine`` — print the default simulated testbed's calibration;
 * ``trace [--steps N] [--shape X Y Z] [--memory-limit B] [--out FILE]``
@@ -17,19 +23,50 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
+from .bench import (
+    critpath_bench,
+    live,
+    plan_bench,
+    prefetch_bench,
+    service_bench,
+    simspeed,
+    slo_bench,
+)
+from .bench.gate import finish
 from .bench.harness import run_all
 from .config import DEFAULT_MACHINE
 from .kernels.registry import KERNELS
 
+#: Every CI bench gate, by ``python -m repro gate`` name.
+GATES = {
+    "prefetch": prefetch_bench.run,
+    "plan": plan_bench.run,
+    "simspeed": simspeed.run,
+    "service": service_bench.run,
+    "slo": slo_bench.run,
+    "live": live.run,
+    "critpath": critpath_bench.run,
+}
+
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run_all(out, quick=args.quick)
+    run_all(
+        out,
+        quick=args.quick,
+        metrics_out=Path(args.metrics_out) if args.metrics_out else None,
+        faults_spec=args.faults,
+        check=args.check,
+    )
     return 0
+
+
+def _cmd_gate(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    return finish(args.name, GATES[args.name](out, quick=args.quick), out)
 
 
 def _cmd_kernels(_args: argparse.Namespace) -> int:
@@ -60,7 +97,6 @@ def _cmd_machine(_args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .baselines.tida_runners import run_tida_heat
 
@@ -115,7 +151,35 @@ def main(argv: list[str] | None = None) -> int:
     p_bench = sub.add_parser("bench", help="run every paper experiment")
     p_bench.add_argument("--quick", action="store_true")
     p_bench.add_argument("--out", default="results")
+    p_bench.add_argument(
+        "--metrics-out", default=None, metavar="FILE",
+        help="also dump a run manifest of merged runtime metrics "
+             "(readable by python -m repro.obs.report)",
+    )
+    p_bench.add_argument(
+        "--faults", default=None, metavar="SPEC",
+        help="fault-plan spec for the resilience figure, e.g. "
+             "'h2d:p=0.02; launch:p=0.01; seed=7' "
+             "(default: sweep built-in fault rates)",
+    )
+    p_bench.add_argument(
+        "--check", action="store_true",
+        help="run every experiment under the strict hazard checker "
+             "(racy device-buffer accesses abort the run; see repro.check)",
+    )
     p_bench.set_defaults(fn=_cmd_bench)
+
+    p_gate = sub.add_parser(
+        "gate", help="run one CI bench gate against its committed baseline"
+    )
+    p_gate.add_argument("name", choices=sorted(GATES))
+    p_gate.add_argument("--quick", action="store_true",
+                        help="CI mode: fewer solo/blame differential checks "
+                             "(service, slo); gated counters are unchanged")
+    p_gate.add_argument("--out", default="results",
+                        help="directory for BENCH_<name>.json and side files "
+                             "('.' regenerates the committed baseline)")
+    p_gate.set_defaults(fn=_cmd_gate)
 
     p_kernels = sub.add_parser("kernels", help="list workload kernels")
     p_kernels.set_defaults(fn=_cmd_kernels)

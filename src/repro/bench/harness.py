@@ -1,4 +1,4 @@
-"""Run every experiment and write results (``python -m repro.bench.harness``).
+"""Run every experiment and write results (``python -m repro bench``).
 
 Produces, under ``results/`` (or ``--out DIR``):
 
@@ -12,9 +12,7 @@ Produces, under ``results/`` (or ``--out DIR``):
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -31,7 +29,6 @@ def run_all(
     metrics_out: Path | None = None,
     faults_spec: str | None = None,
     check: bool = False,
-    critpath: bool = False,
 ) -> list[Table]:
     """Execute every experiment; returns the tables in paper order.
 
@@ -43,10 +40,6 @@ def run_all(
     experiments create (see :mod:`repro.check`): any racy device-buffer
     access raises :class:`~repro.errors.HazardError` on the spot, and a
     hazard summary is printed at the end — the CI conformance leg.
-
-    ``critpath=True`` additionally runs the critical-path leg
-    (:func:`run_critpath_leg`), writing ``critpath.json`` next to the
-    figures — the manifest ``BENCH_critpath.json`` is gated against.
 
     ``check=True`` also runs the conformance-matrix leg
     (:func:`run_conformance_leg`) after the figures: the schedule sweep
@@ -68,8 +61,6 @@ def run_all(
             set_default_mode(None)
     if check:
         run_conformance_leg(out_dir, quick=quick, echo=echo)
-    if critpath:
-        run_critpath_leg(out_dir, echo=echo)
     return tables
 
 
@@ -132,47 +123,6 @@ def run_conformance_leg(
         raise AssertionError(
             "conformance sweep failed: " + "; ".join(failures)
         )
-    return path
-
-
-def run_critpath_leg(out_dir: Path, *, echo: bool = True) -> Path:
-    """The critical-path trend leg: analyse the Fig. 3 heat workload.
-
-    Runs the pipelined heat solve under the observing hazard checker
-    (fixed shape/steps regardless of ``--quick``, so the numbers are
-    comparable across runs — virtual time makes them deterministic),
-    computes the full critpath summary, and writes ``critpath.json``:
-    a run manifest whose ``metrics`` are the flat ``critpath.*``
-    counters.  CI gates that file against the committed
-    ``BENCH_critpath.json`` with ``obs.report --compare``, so critical
-    path composition, overlap efficiency, and predicted what-if
-    speedups become a ratcheted trend ledger.
-    """
-    from ..baselines.tida_runners import run_tida_heat
-    from ..check.dag import dag_to_json
-    from ..obs.critpath import RunDag, critpath_metrics, critpath_summary
-    from ..obs.report import build_critpath_report
-
-    r = run_tida_heat(shape=(128, 128, 128), n_regions=8, steps=3,
-                      check="observe")
-    marks = [m["ts"] for m in r.trace.marks if m["name"] == "iteration"]
-    dag = RunDag.from_nodes(r.dag or (), marks=marks)
-    summary = critpath_summary(dag)
-    manifest = {
-        "schema": "repro-run-manifest/1",
-        "traceEvents": r.trace.to_chrome_trace(),
-        "metrics": {"counters": critpath_metrics(summary)},
-        "dag": dag_to_json(r.dag or ()),
-        "critpath": summary,
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "critpath.json"
-    path.write_text(json.dumps(manifest, indent=2))
-    if echo:
-        for table in build_critpath_report(None, manifest):
-            print()
-            print(table.format())
-        print(f"\nwrote critical-path manifest to {path}")
     return path
 
 
@@ -268,57 +218,3 @@ def _run_figures(
     if echo:
         print(f"\nwrote {len(tables)} tables to {out_dir} in {time.time() - t0:.1f}s")
     return tables
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--quick", action="store_true", help="small sizes, fast run")
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="also dump a run manifest of merged runtime metrics "
-             "(readable by python -m repro.obs.report)",
-    )
-    parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="fault-plan spec for the resilience figure, e.g. "
-             "'h2d:p=0.02; launch:p=0.01; seed=7' "
-             "(default: sweep built-in fault rates)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="run every experiment under the strict hazard checker "
-             "(racy device-buffer accesses abort the run; see repro.check)",
-    )
-    parser.add_argument(
-        "--critpath", action="store_true",
-        help="also run the critical-path leg and write critpath.json "
-             "(the manifest gated against BENCH_critpath.json)",
-    )
-    parser.add_argument(
-        "--live", action="store_true",
-        help="also run the live-telemetry watchdog legs (see "
-             "repro.bench.live): nominal runs must stay alert-free, seeded "
-             "degradations must alert; writes live.json / live_nominal.json "
-             "and the per-leg telemetry_*.jsonl sessions",
-    )
-    args = parser.parse_args(argv)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run_all(
-        out_dir,
-        quick=args.quick,
-        metrics_out=Path(args.metrics_out) if args.metrics_out else None,
-        faults_spec=args.faults,
-        check=args.check,
-        critpath=args.critpath,
-    )
-    if args.live:
-        from .live import run_live
-
-        return run_live(out_dir)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Planner gate: ``python -m repro.bench.plan_bench``.
+"""Planner gate: ``python -m repro gate plan``.
 
 The acceptance spine of the access-set-driven planner (see
 :mod:`repro.plan`): for every workload the conformance matrix covers —
@@ -22,23 +22,14 @@ counters:
   proven-clean halos;
 * ``bench.plan.fills_elided`` — whole boundary fills skipped.
 
-Exit codes: 1 when any conformance leg diverges (digest mismatch, racy
-hazard, CG divergence, or timing drift), 2 when a savings counter is not
-strictly positive.
-
-Gated counters are *clamped* — ``min(measured, ceiling)`` with ceilings
-below what a healthy run measures — so the committed baseline sits at
-the ceiling and never moves on faster machines, while a real regression
-(a proof lost, an elision dropped) pulls the counter below its ceiling
-and trips both the ``--compare`` gate and the hard floor.  Raw values
-live under the manifest's ungated ``"plan"`` key.
+All three are deterministic virtual-run counts, gated at their measured
+values.  Exit codes: 1 when any conformance leg diverges (digest
+mismatch, racy hazard, CG divergence, or timing drift), 2 when a savings
+counter is not strictly positive.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
 from typing import Any
 
@@ -50,15 +41,11 @@ from ..baselines.plan_runners import (
     run_tida_coeff_heat,
 )
 from ..check.explore import conformance_matrix
-from ..obs.metrics import MetricsRegistry
+from .gate import GateResult
 
-#: Clamp ceilings for the gated savings counters — below the values the
-#: committed configuration measures (46 skips, ~1.1 MB, 5 elisions), so
-#: the baseline sits exactly at the ceiling.  Do not change without
-#: regenerating BENCH_plan.json.
-WRITEBACKS_SKIPPED_CEILING = 40.0
-HALO_BYTES_SAVED_CEILING = 1_000_000.0
-FILLS_ELIDED_CEILING = 4.0
+#: The gated savings counters (``bench.plan.<name>``), each with a hard
+#: floor of "strictly positive".
+SAVINGS = ("writebacks_skipped", "halo_bytes_saved", "fills_elided")
 
 #: The conformance matrix legs swept on both sides of the differential.
 MATRIX_AXES = dict(
@@ -186,15 +173,13 @@ def measure_savings(config: dict[str, Any] | None = None) -> dict[str, Any]:
     }
 
 
-def run(out: Path) -> int:
+def run(out_dir: Path, *, quick: bool = False) -> GateResult:
     failures, conf = conformance_check()
     cg_failures, cg = cg_check()
     failures.extend(cg_failures)
     failures.extend(timing_drift_check())
     if failures:
-        for f in failures:
-            print(f"FAIL conformance: {f}", file=sys.stderr)
-        return 1
+        return GateResult(failures=failures)
     legs = sum(w["legs"] for w in conf.values())
     print(f"conformance: planner-derived byte-identical to hand-built on "
           f"{legs} legs across {len(conf)} workloads, zero racy hazards")
@@ -204,9 +189,8 @@ def run(out: Path) -> int:
 
     savings = measure_savings()
     if not savings["byte_identical"]:
-        print("FAIL savings: planned coeff-heat diverged from naive baseline",
-              file=sys.stderr)
-        return 1
+        return GateResult(
+            failures=["savings: planned coeff-heat diverged from naive baseline"])
     print(f"savings: writebacks_skipped={savings['writebacks_skipped']:.0f}  "
           f"halo_bytes_saved={savings['halo_bytes_saved']:.0f}  "
           f"fills_elided={savings['fills_elided']:.0f}/"
@@ -215,45 +199,8 @@ def run(out: Path) -> int:
     print(f"elapsed: naive {savings['naive_elapsed']*1e3:.3f} ms vs planned "
           f"{savings['planned_elapsed']*1e3:.3f} ms")
 
-    bench = MetricsRegistry()
-    gated = {
-        "bench.plan.writebacks_skipped":
-            min(savings["writebacks_skipped"], WRITEBACKS_SKIPPED_CEILING),
-        "bench.plan.halo_bytes_saved":
-            min(savings["halo_bytes_saved"], HALO_BYTES_SAVED_CEILING),
-        "bench.plan.fills_elided":
-            min(savings["fills_elided"], FILLS_ELIDED_CEILING),
-    }
-    for name, value in gated.items():
-        bench.counter(name).inc(value)
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({
-        "schema": "repro-run-manifest/1",
-        "metrics": bench.snapshot(),
-        "plan": {"conformance": conf, "cg": cg, "savings": savings},
-    }, indent=2) + "\n")
-    print(f"wrote {len(gated)} gated counters to {out}")
-
-    floor_misses = [
-        name for name in
-        ("writebacks_skipped", "halo_bytes_saved", "fills_elided")
-        if savings[name] <= 0
-    ]
-    if floor_misses:
-        for miss in floor_misses:
-            print(f"FAIL floor: {miss} not strictly positive", file=sys.stderr)
-        return 2
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_plan.json",
-                        help="run-manifest output path (default BENCH_plan.json)")
-    args = parser.parse_args(argv)
-    return run(Path(args.out))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return GateResult(
+        metrics={"counters": {f"bench.plan.{n}": savings[n] for n in SAVINGS}},
+        raw={"plan": {"conformance": conf, "cg": cg, "savings": savings}},
+        misses=[f"{n} not strictly positive" for n in SAVINGS if savings[n] <= 0],
+    )

@@ -1,9 +1,9 @@
-"""Prefetch benchmark gate: ``python -m repro.bench.prefetch_bench``.
+"""Prefetch benchmark gate: ``python -m repro gate prefetch``.
 
 Runs the Fig. 8 limited-memory scenario twice at a small, fixed,
 deterministic configuration — demand-paged with the paper's modulo slot
-mapping versus the lookahead prefetch pipeline — and writes a run
-manifest (``--out``, default ``BENCH_prefetch.json``) holding:
+mapping versus the lookahead prefetch pipeline — and gates a run
+manifest (``BENCH_prefetch.json``) holding:
 
 * ``bench.fig8_prefetch.demand_seconds`` / ``prefetch_seconds`` — the
   two virtual wall-clocks (lower is better, so a shrinking prefetch win
@@ -11,26 +11,20 @@ manifest (``--out``, default ``BENCH_prefetch.json``) holding:
 * the prefetch run's full slot-cache counters (``cache.prefetch_issued``,
   ``prefetch_useful``, ``prefetch_wasted``, ``stall_seconds_avoided``, …).
 
-The manifest is the input format of ``python -m repro.obs.report``; CI
-regenerates it and gates with ``--compare`` against the committed
-baseline.  Before timing, both modes run functionally on a small domain
-and their results must be byte-identical — the pipeline may only move
-transfers, never change data.
+Before timing, both modes run functionally on a small domain and their
+results must be byte-identical — the pipeline may only move transfers,
+never change data.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
-
-import numpy as np
 
 from ..baselines.common import default_init
 from ..baselines.tida_runners import run_tida_compute
 from ..obs import metrics as obs_metrics
 from ..obs.metrics import MetricsRegistry
+from .gate import GateResult
 
 #: The fixed gate configuration.  Small enough to run in ~1 s, large
 #: enough that the limited-memory sweep (12 regions cycling through 6
@@ -62,10 +56,9 @@ def functional_check() -> bool:
     return results[0].tobytes() == results[1].tobytes()
 
 
-def run(out: Path) -> int:
+def run(out_dir: Path, *, quick: bool = False) -> GateResult:
     if not functional_check():
-        print("FAIL: prefetch pipeline changed functional results", file=sys.stderr)
-        return 1
+        return GateResult(failures=["prefetch pipeline changed functional results"])
     print("functional check: demand and prefetch results byte-identical")
 
     demand = run_tida_compute(
@@ -88,22 +81,4 @@ def run(out: Path) -> int:
     print(f"demand (modulo):       {demand.elapsed:.6f} s")
     print(f"prefetch (lookahead):  {prefetch.elapsed:.6f} s")
     print(f"win:                   {win:.1%}")
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(
-        {"schema": "repro-run-manifest/1", "metrics": snapshot}, indent=2
-    ) + "\n")
-    print(f"wrote {len(snapshot['counters'])} counters to {out}")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_prefetch.json",
-                        help="run-manifest output path (default BENCH_prefetch.json)")
-    args = parser.parse_args(argv)
-    return run(Path(args.out))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return GateResult(metrics=snapshot)

@@ -1,4 +1,4 @@
-"""Service gate: ``python -m repro.bench.service_bench``.
+"""Service gate: ``python -m repro gate service``.
 
 The acceptance spine of the multi-tenant service layer (see
 :mod:`repro.service`): a seeded 8-tenant contention mix — one priority
@@ -28,36 +28,22 @@ speedup below ``SPEEDUP_FLOOR`` (the issue's 1.5x bar), priority p95
 slowdown above ``P95_SLOWDOWN_CEILING`` (the 1.25x bar), or no dedup
 savings.
 
-Gated counters are *clamped* so the committed baseline never moves on
-faster machines: higher-is-better counters report
-``min(measured, ceiling)`` with ceilings below a healthy run, and the
-lower-is-better slowdown reports ``max(measured, floor)`` with the
-floor above a healthy run.  A real regression pulls the counter past
-its clamp and trips both the ``--compare`` gate and the hard floor.
-Raw values live under the manifest's ungated ``"service"`` key.
+Every gated counter is a deterministic virtual-time value, gated at its
+measured value; raw detail lives under the manifest's ungated
+``"service"`` key.  ``--quick`` solo-checks only the priority tenant's
+jobs plus a couple of best-effort ones; the gated counters are
+identical either way.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry
 from ..service import LoadGenerator, Service, TrafficPattern, run_solo
-
-#: Clamp bounds for the gated counters — chosen past what the committed
-#: configuration measures (speedup ~2.0, utilization ~0.71, slowdown
-#: ~1.01, ~25 kB avoided), so the baseline sits exactly at the clamp.
-#: Do not change without regenerating BENCH_service.json.
-UTILIZATION_SPEEDUP_CEILING = 1.8
-AGGREGATE_UTILIZATION_CEILING = 0.6
-DEDUP_BYTES_AVOIDED_CEILING = 20_000.0
-PRIORITY_P95_SLOWDOWN_FLOOR = 1.15
+from .gate import GateResult
 
 #: Hard acceptance floors (exit 2), from the issue's acceptance criteria.
 SPEEDUP_FLOOR = 1.5
@@ -171,7 +157,7 @@ def measure_dedup() -> dict[str, Any]:
     }
 
 
-def run(out: Path, *, quick: bool = False) -> int:
+def run(out_dir: Path, *, quick: bool = False) -> GateResult:
     arr = arrivals()
 
     solo_rep, _solo_jobs, _ = _run_leg("fair", arr, only_tenant=PRIORITY_TENANT)
@@ -210,9 +196,7 @@ def run(out: Path, *, quick: bool = False) -> int:
         failures.append(f"dedup: {dedup['racy']} racy hazards")
 
     if failures:
-        for f in failures:
-            print(f"FAIL conformance: {f}", file=sys.stderr)
-        return 1
+        return GateResult(failures=failures)
 
     speedup = fair_rep.utilization / serial_rep.utilization
     p95_un = _p95(solo_rep.latencies(PRIORITY_TENANT))
@@ -233,19 +217,12 @@ def run(out: Path, *, quick: bool = False) -> int:
     print(f"dedup: {dedup['hits']:.0f} hits, {dedup['bytes_avoided']:.0f} bytes "
           f"avoided (shared: {', '.join(dedup['shared_fields']) or '-'})")
 
-    bench = MetricsRegistry()
     gated = {
-        "bench.service.utilization_speedup":
-            min(speedup, UTILIZATION_SPEEDUP_CEILING),
-        "bench.service.aggregate_utilization":
-            min(fair_rep.utilization, AGGREGATE_UTILIZATION_CEILING),
-        "bench.service.dedup_bytes_avoided":
-            min(dedup["bytes_avoided"], DEDUP_BYTES_AVOIDED_CEILING),
-        "bench.service.priority_p95_slowdown":
-            max(slowdown, PRIORITY_P95_SLOWDOWN_FLOOR),
+        "bench.service.utilization_speedup": speedup,
+        "bench.service.aggregate_utilization": fair_rep.utilization,
+        "bench.service.dedup_bytes_avoided": dedup["bytes_avoided"],
+        "bench.service.priority_p95_slowdown": slowdown,
     }
-    for name, value in gated.items():
-        bench.counter(name).inc(value)
 
     raw = {
         "config": {
@@ -273,14 +250,6 @@ def run(out: Path, *, quick: bool = False) -> int:
                     for t, info in fair_rep.tenants.items()},
     }
 
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({
-        "schema": "repro-run-manifest/1",
-        "metrics": bench.snapshot(),
-        "service": raw,
-    }, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(gated)} gated counters to {out}")
-
     floor_misses = []
     if speedup < SPEEDUP_FLOOR:
         floor_misses.append(
@@ -290,24 +259,5 @@ def run(out: Path, *, quick: bool = False) -> int:
             f"priority p95 slowdown {slowdown:.3f} > {P95_SLOWDOWN_CEILING}")
     if dedup["bytes_avoided"] <= 0:
         floor_misses.append("dedup bytes_avoided not strictly positive")
-    if floor_misses:
-        for miss in floor_misses:
-            print(f"FAIL floor: {miss}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_service.json",
-                        help="run-manifest output path (default BENCH_service.json)")
-    parser.add_argument("--quick", action="store_true",
-                        help="solo-check only the priority tenant's jobs plus "
-                             "a couple of best-effort ones (CI mode); the "
-                             "gated counters are identical either way")
-    args = parser.parse_args(argv)
-    return run(Path(args.out), quick=args.quick)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return GateResult(metrics={"counters": gated}, raw={"service": raw},
+                      misses=floor_misses)

@@ -1,4 +1,4 @@
-"""SLO gate: ``python -m repro.bench.slo_bench``.
+"""SLO gate: ``python -m repro gate slo``.
 
 The operability spine of the multi-tenant service (see
 :mod:`repro.obs.slo`): three legs over seeded deterministic load.
@@ -25,28 +25,27 @@ Exit codes: 1 on conformance failure (session/SLI drift, racy hazards,
 inexact blame), 2 on a floor miss (no burn alert, no recovery, no
 deferrals, speedup below floor).
 
-Gated counters are *clamped* like the other bench gates so the
-committed baseline never moves on faster machines; raw values live
-under the manifest's ungated ``"slo_bench"`` key, and the full SLO
-snapshots and blame rows land under ``"slo"`` / ``"blame"`` for
-``obs.report --slo/--blame``.  The per-tenant nominal p95s are emitted
-as ``bench.slo.tenant.<t>.p95_ms`` counters and gated by the committed
-baseline through one wildcard pattern (``bench.slo.tenant.*.p95_ms``),
-exercising the compare gate's dynamic-key expansion.
+The gated counters are deterministic virtual-time values, gated at
+their measured values; raw values live under the manifest's ungated
+``"slo_bench"`` key, and the full SLO snapshots and blame rows land
+under ``"slo"`` / ``"blame"`` for ``obs.report --slo/--blame``.  The
+per-tenant nominal p95s are emitted as ``bench.slo.tenant.<t>.p95_ms``
+counters, floored at ``TENANT_P95_FLOOR_MS``, and gated by the
+committed baseline through one wildcard pattern
+(``bench.slo.tenant.*.p95_ms``), exercising the compare gate's
+dynamic-key expansion.  ``--quick`` blame-checks only the priority
+tenant's jobs plus a couple of best-effort ones.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
 from typing import Any
 
 from ..obs.critpath import blame_decomposition, blame_summary
-from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SloPolicy
 from ..service import Service, run_solo
+from .gate import GateResult
 from .service_bench import (
     N_JOBS,
     PRIORITY_TENANT,
@@ -67,11 +66,10 @@ NOMINAL_OBJECTIVE = 0.95
 #: |components sum - delta| bound for the blame exactness check.
 BLAME_TOLERANCE = 1e-9
 
-#: Clamp bounds for the gated counters — chosen past what the committed
-#: configuration measures, so the baseline sits exactly at the clamp.
-#: Do not change without regenerating BENCH_slo.json.
+#: Clamp for the per-tenant p95 counters — above every tenant's measured
+#: p95, so the wildcard baseline row sits exactly at the clamp.  Do not
+#: change without regenerating BENCH_slo.json.
 TENANT_P95_FLOOR_MS = 6.5
-BACKPRESSURE_SPEEDUP_CEILING = 2.0
 
 #: Hard floors (exit 2).
 BACKPRESSURE_SPEEDUP_FLOOR = 1.1
@@ -168,7 +166,7 @@ def _blame_rows(report, jobs, *, quick: bool) -> tuple[list[dict[str, Any]], lis
     return rows, failures
 
 
-def run(out: Path, *, quick: bool = False) -> int:
+def run(out_dir: Path, *, quick: bool = False) -> GateResult:
     failures: list[str] = []
 
     # -- nominal: monitored == unmonitored, zero burn --------------------
@@ -231,9 +229,7 @@ def run(out: Path, *, quick: bool = False) -> int:
     )
 
     if failures:
-        for f in failures:
-            print(f"FAIL conformance: {f}", file=sys.stderr)
-        return 1
+        return GateResult(failures=failures)
 
     print(f"nominal: {int(total_jobs)} jobs, {burned:.0f} budget burned "
           f"(hit rate {hit_rate:.3f}), monitored session byte-identical, "
@@ -250,13 +246,11 @@ def run(out: Path, *, quick: bool = False) -> int:
           f"{'-' if recovered_p95 is None else format(recovered_p95*1e3, '.3f')}"
           f" ms")
 
-    bench = MetricsRegistry()
     gated = {
-        "bench.slo.nominal_slo_hit_rate": min(hit_rate, 1.0),
-        "bench.slo.blame_exact_hit_rate": min(blame_hit_rate, 1.0),
+        "bench.slo.nominal_slo_hit_rate": hit_rate,
+        "bench.slo.blame_exact_hit_rate": blame_hit_rate,
         "bench.slo.overload_detection_hits": min(float(alerts_nobp), 1.0),
-        "bench.slo.backpressure_p95_speedup":
-            min(speedup, BACKPRESSURE_SPEEDUP_CEILING),
+        "bench.slo.backpressure_p95_speedup": speedup,
         "bench.slo.recovered_p95_under_target":
             1.0 if recovered_under_target else 0.0,
     }
@@ -264,8 +258,6 @@ def run(out: Path, *, quick: bool = False) -> int:
         p95_ms = (tenant_p95[t] or 0.0) * 1e3
         gated[f"bench.slo.tenant.{t}.p95_ms"] = max(
             p95_ms, TENANT_P95_FLOOR_MS)
-    for name, value in gated.items():
-        bench.counter(name).inc(value)
 
     raw = {
         "nominal": {
@@ -292,18 +284,6 @@ def run(out: Path, *, quick: bool = False) -> int:
         },
     }
 
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({
-        "schema": "repro-run-manifest/1",
-        "metrics": bench.snapshot(),
-        "slo": {"nominal": nom_snapshot,
-                "overload": over_tracker.snapshot(),
-                "overload_backpressure": bp_tracker.snapshot()},
-        "blame": {"jobs": blame_jobs, "summary": summary},
-        "slo_bench": raw,
-    }, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(gated)} gated counters to {out}")
-
     floor_misses = []
     if hit_rate < 1.0:
         floor_misses.append(f"nominal leg burned budget (hit rate {hit_rate:.3f})")
@@ -324,24 +304,14 @@ def run(out: Path, *, quick: bool = False) -> int:
         floor_misses.append(
             f"backpressure p95 speedup {speedup:.3f} < "
             f"{BACKPRESSURE_SPEEDUP_FLOOR}")
-    if floor_misses:
-        for miss in floor_misses:
-            print(f"FAIL floor: {miss}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_slo.json",
-                        help="run-manifest output path (default BENCH_slo.json)")
-    parser.add_argument("--quick", action="store_true",
-                        help="blame-check only the priority tenant's jobs plus "
-                             "a couple of best-effort ones (CI mode); the "
-                             "gated counters are identical either way")
-    args = parser.parse_args(argv)
-    return run(Path(args.out), quick=args.quick)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return GateResult(
+        metrics={"counters": gated},
+        raw={
+            "slo": {"nominal": nom_snapshot,
+                    "overload": over_tracker.snapshot(),
+                    "overload_backpressure": bp_tracker.snapshot()},
+            "blame": {"jobs": blame_jobs, "summary": summary},
+            "slo_bench": raw,
+        },
+        misses=floor_misses,
+    )

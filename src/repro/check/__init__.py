@@ -21,7 +21,7 @@ schedulers rely on, independently of any one policy:
 Enable per runtime with ``CudaRuntime(check="strict")`` (or
 ``"observe"``), globally with :func:`set_default_mode` /
 ``REPRO_CHECK=strict``, or for a whole benchmark run with
-``python -m repro.bench.harness --check``.
+``python -m repro bench --check``.
 """
 
 from .dag import DagNode, dag_from_json, dag_to_json

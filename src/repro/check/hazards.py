@@ -55,8 +55,9 @@ def set_default_mode(mode: str | bool | None) -> None:
     """Set the process-wide default checker mode.
 
     ``CudaRuntime(check=None)`` (the default) consults this — it is how
-    ``harness --check`` arms strict checking on every runtime the
-    benchmarks create without threading a flag through every layer.
+    ``python -m repro bench --check`` arms strict checking on every
+    runtime the benchmarks create without threading a flag through every
+    layer.
     ``None`` restores the built-in default (the ``REPRO_CHECK``
     environment variable, else off).
     """

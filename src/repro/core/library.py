@@ -19,7 +19,6 @@ transfers, or directives — the §V contract:
 from __future__ import annotations
 
 import contextlib
-import warnings
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -141,13 +140,11 @@ class TidaAcc:
         axis: int = 0,
         halo: int | tuple[int, ...] | str | None = None,
         kernels: Sequence[KernelSpec] | None = None,
-        ghost: int | tuple[int, ...] | None = None,
         dtype: Any = np.float64,
         fill: float | None = None,
         n_slots: int | None = None,
         access: str = "rw",
         eviction: str | EvictionPolicy | None = None,
-        policy: str | EvictionPolicy | None = None,
     ) -> TileArray:
         """Declare a field: a pinned-host tileArray plus its TileAcc.
 
@@ -155,7 +152,6 @@ class TidaAcc:
         Pass ``halo="auto"`` together with ``kernels=(KernelSpec, ...)``
         to derive it from the kernels' declared stencil footprints (the
         union of their read radii — see :func:`repro.plan.derive_halo`).
-        ``ghost`` is a deprecated alias for an explicit ``halo``.
 
         ``access="ro"`` declares the field read-only on the device
         (coefficient tables, masks): evictions and host reads then cost no
@@ -163,23 +159,8 @@ class TidaAcc:
         ``manager(name).invalidate_device()``.
 
         ``eviction`` overrides the library's default eviction policy for
-        this field (``"lru"``, ``"lookahead"``, or ``"modulo"``);
-        ``policy`` is a deprecated alias for it.
+        this field (``"lru"``, ``"lookahead"``, or ``"modulo"``).
         """
-        if policy is not None:
-            warnings.warn(
-                "add_array(policy=...) is deprecated; use eviction=...",
-                DeprecationWarning, stacklevel=2,
-            )
-            if eviction is None:
-                eviction = policy
-        if ghost is not None:
-            warnings.warn(
-                "add_array(ghost=...) is deprecated; use halo=...",
-                DeprecationWarning, stacklevel=2,
-            )
-            if halo is None:
-                halo = ghost
         if isinstance(halo, str):
             if halo != "auto":
                 raise TidaError(

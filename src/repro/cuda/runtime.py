@@ -401,22 +401,6 @@ class CudaRuntime:
             shape, dtype, pinned=False, functional=self.functional, fill=fill, label=label
         )
 
-    def malloc_host(self, *args: Any, **kwargs: Any) -> HostBuffer:
-        """Deprecated alias for :meth:`malloc_pinned`."""
-        warnings.warn(
-            "CudaRuntime.malloc_host is deprecated; use malloc_pinned",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.malloc_pinned(*args, **kwargs)
-
-    def host_malloc(self, *args: Any, **kwargs: Any) -> HostBuffer:
-        """Deprecated alias for :meth:`malloc_pageable`."""
-        warnings.warn(
-            "CudaRuntime.host_malloc is deprecated; use malloc_pageable",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.malloc_pageable(*args, **kwargs)
-
     def free_host(self, buf: HostBuffer) -> None:
         """``cudaFreeHost`` / ``free``."""
         self._api()

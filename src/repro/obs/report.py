@@ -3,8 +3,7 @@
 Input is either a Chrome/Perfetto trace file (as written by
 :meth:`Trace.save_chrome_trace`) or a *run manifest* — a JSON object
 carrying ``traceEvents`` and/or a ``metrics`` snapshot (as written by
-``python -m repro trace`` and ``python -m repro.bench.harness
---metrics-out``).  It prints:
+``python -m repro trace`` and ``python -m repro bench --metrics-out``).  It prints:
 
 * per-lane utilization and overlap fractions (the Fig. 3/7 health check);
 * slot-cache statistics per field (hits, misses, evictions, write-backs);
@@ -742,14 +741,14 @@ def main(argv: list[str] | None = None) -> int:
         slo = manifest.get("slo")
         if not slo:
             print(f"error: {args.run} carries no 'slo' snapshot "
-                  "(write one with repro.bench.slo_bench)", file=sys.stderr)
+                  "(write one with python -m repro gate slo)", file=sys.stderr)
             return 2
         tables.append(slo_table(slo))
     if args.blame:
         blame = manifest.get("blame")
         if not blame:
             print(f"error: {args.run} carries no 'blame' decomposition "
-                  "(write one with repro.bench.slo_bench)", file=sys.stderr)
+                  "(write one with python -m repro gate slo)", file=sys.stderr)
             return 2
         tables.append(blame_table(blame, top=args.top))
     if args.critpath:

@@ -1,6 +1,6 @@
-"""Tests for the live-telemetry harness leg (repro.bench.live).
+"""Tests for the live-telemetry gate (repro.bench.live).
 
-The full ``python -m repro.bench.live`` sweep runs in CI; here each
+The full ``python -m repro gate live`` sweep runs in CI; here each
 mechanism is exercised with fast, shrunken legs.
 """
 

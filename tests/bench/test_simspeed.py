@@ -1,10 +1,12 @@
-"""Simulator-speed gate: drift check, measurements, manifest, exit codes."""
+"""Simulator-speed gate: drift check, measurements, clamps, floors."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import simspeed
+from repro.bench.gate import finish
 
 
 class TestDriftCheck:
@@ -52,9 +54,12 @@ class TestMeasurements:
 
 
 class TestRunAndGate:
+    """simspeed's own clamps and floors, over canned measurements."""
+
     @pytest.fixture
-    def canned(self, monkeypatch):
-        """Replace the heavy measurements; keep the real manifest logic."""
+    def canned(self, monkeypatch, tmp_path):
+        """Replace the heavy measurements; keep the real gate logic."""
+        monkeypatch.chdir(tmp_path)        # no committed baseline to compare
         monkeypatch.setattr(simspeed, "drift_check", lambda: [])
         monkeypatch.setattr(simspeed, "measure_modes", lambda: {
             "device_ops": 100.0,
@@ -63,24 +68,21 @@ class TestRunAndGate:
             "replay_wall_s": 0.001, "replay_ops_per_s": 100_000.0,
             "timing_speedup": 100.0, "replay_speedup": 1000.0,
         })
-        sweeps = {"conf": 25.0, "mach": 14.0}
         monkeypatch.setattr(simspeed, "measure_conformance_sweep", lambda: {
             "legs": 64.0, "full_wall_s": 2.5, "replay_wall_s": 0.1,
-            "speedup": sweeps["conf"],
+            "speedup": 25.0,
         })
         monkeypatch.setattr(simspeed, "measure_machine_sweep", lambda: {
             "candidates": 96.0, "measure_wall_s": 0.4, "replay_wall_s": 0.03,
-            "speedup": sweeps["mach"],
+            "speedup": 14.0,
         })
-        return sweeps
 
     def test_manifest_clamps_gated_counters(self, canned, tmp_path):
-        out = tmp_path / "simspeed.json"
-        assert simspeed.run(out) == 0
-        manifest = json.loads(out.read_text())
-        counters = manifest["metrics"]["counters"]
+        result = simspeed.run(tmp_path)
+        assert not result.failures and not result.misses
+        counters = result.metrics["counters"]
         assert counters["bench.simspeed.timing_speedup"] == \
-            simspeed.TIMING_SPEEDUP_CEILING
+            simspeed.TIMING_SPEEDUP_FLOOR
         assert counters["bench.simspeed.replay_speedup"] == \
             simspeed.REPLAY_SPEEDUP_CEILING
         assert counters["bench.simspeed.conformance_sweep_speedup"] == \
@@ -88,31 +90,40 @@ class TestRunAndGate:
         assert counters["bench.simspeed.machine_sweep_speedup"] == \
             simspeed.SWEEP_SPEEDUP_CEILING
         # the raw, unclamped numbers stay inspectable but ungated
-        assert manifest["simspeed"]["conformance_sweep"]["speedup"] == 25.0
-        assert manifest["schema"] == "repro-run-manifest/1"
+        assert result.raw["simspeed"]["conformance_sweep"]["speedup"] == 25.0
 
     def test_drift_exits_one(self, canned, monkeypatch, tmp_path):
         monkeypatch.setattr(simspeed, "drift_check",
                             lambda: ["heat: trace differs between modes"])
-        assert simspeed.run(tmp_path / "m.json") == 1
+        assert finish("simspeed", simspeed.run(tmp_path), tmp_path) == 1
 
     def test_floor_miss_exits_two(self, canned, monkeypatch, tmp_path):
         monkeypatch.setattr(simspeed, "measure_machine_sweep", lambda: {
             "candidates": 96.0, "measure_wall_s": 0.4, "replay_wall_s": 0.06,
             "speedup": simspeed.SWEEP_SPEEDUP_FLOOR - 1.0,
         })
-        out = tmp_path / "m.json"
-        assert simspeed.run(out) == 2
+        assert finish("simspeed", simspeed.run(tmp_path), tmp_path) == 2
         # the manifest is still written, so the miss is inspectable
-        assert out.exists()
+        assert (tmp_path / "BENCH_simspeed.json").exists()
+
+    def test_timing_speedup_floor_miss_exits_two(self, canned, monkeypatch,
+                                                 tmp_path):
+        slow = dict(simspeed.measure_modes(),
+                    timing_speedup=simspeed.TIMING_SPEEDUP_FLOOR - 1.0)
+        monkeypatch.setattr(simspeed, "measure_modes", lambda: slow)
+        result = simspeed.run(tmp_path)
+        assert result.misses == ["timing speedup = 24.0x < 25x"]
+        assert finish("simspeed", result, tmp_path) == 2
 
     def test_committed_baseline_sits_at_the_ceilings(self):
-        from pathlib import Path
-
         baseline = json.loads(
             Path(__file__).resolve().parents[2]
             .joinpath("BENCH_simspeed.json").read_text())
         counters = baseline["metrics"]["counters"]
+        assert counters["bench.simspeed.timing_speedup"] == \
+            simspeed.TIMING_SPEEDUP_FLOOR
+        assert counters["bench.simspeed.replay_speedup"] == \
+            simspeed.REPLAY_SPEEDUP_CEILING
         assert counters["bench.simspeed.conformance_sweep_speedup"] == \
             simspeed.SWEEP_SPEEDUP_CEILING
         assert counters["bench.simspeed.machine_sweep_speedup"] == \

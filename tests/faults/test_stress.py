@@ -2,7 +2,7 @@
 
 The ``REPRO_FAULTS`` environment variable carries a
 :meth:`repro.faults.FaultPlan.from_spec` string (the same format as the
-harness's ``--faults`` flag).  CI runs this module with a hostile spec;
+``python -m repro bench --faults`` flag).  CI runs this module with a hostile spec;
 locally it defaults to a mild plan so the test always exercises the
 recovery machinery.
 """

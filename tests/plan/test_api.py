@@ -1,8 +1,7 @@
 """The redesigned API surface: exports, halo="auto", override warnings.
 
-Satellites of the planner redesign: top-level exports, the ``halo=``
-rename with its deprecation shim, footprint-derived ghost widths on
-``add_array``, the ``launch(reads=/writes=)`` contradiction warning, and
+Satellites of the planner redesign: top-level exports, footprint-derived
+ghost widths on ``add_array``, the ``launch(reads=/writes=)`` contradiction warning, and
 the ports (CG, plan_bench) riding on them.
 """
 
@@ -37,12 +36,6 @@ class TestTopLevelExports:
 
 
 class TestHaloParameter:
-    def test_ghost_alias_warns_but_works(self, machine):
-        lib = TidaAcc(machine, functional=True)
-        with pytest.warns(DeprecationWarning, match="use halo="):
-            ta = lib.add_array("u", (16, 16), n_regions=2, ghost=2)
-        assert ta.ghost == (2, 2)
-
     def test_halo_auto_derives_from_footprints(self, machine):
         lib = TidaAcc(machine, functional=True)
         ta = lib.add_array("u", (16, 16), n_regions=2, halo="auto",
