@@ -11,7 +11,7 @@ Run:  python examples/autotune_regions.py [--size 512] [--steps 1]
 
 import argparse
 
-from repro.baselines import run_tida_heat
+from repro.baselines import run_tida
 from repro.bench.report import Table
 from repro.kernels.heat import heat_kernel
 from repro.model.autotune import autotune_region_count, sweep_region_counts
@@ -36,8 +36,8 @@ def main() -> None:
     measured = sweep_region_counts(
         kernel=kernel, domain_cells=cells, steps=args.steps,
         candidates=candidates, strategy="measure",
-        measure_fn=lambda n: run_tida_heat(shape=shape, steps=args.steps,
-                                           n_regions=n).elapsed,
+        measure_fn=lambda n: run_tida("heat", shape=shape, steps=args.steps,
+                                      n_regions=n).elapsed,
     )
 
     table = Table(

@@ -10,7 +10,7 @@ Run:  python examples/heat_3d.py [--size 512] [--regions 16] [--steps 1 10 100 1
 
 import argparse
 
-from repro.baselines import run_acc_heat, run_cuda_heat, run_tida_heat
+from repro.baselines import run_acc_heat, run_cuda_heat, run_tida
 from repro.bench.report import Table
 
 
@@ -30,7 +30,7 @@ def main() -> None:
         base = run_cuda_heat(shape=shape, steps=steps, memory="pageable").elapsed
         pinned = run_cuda_heat(shape=shape, steps=steps, memory="pinned").elapsed
         acc = run_acc_heat(shape=shape, steps=steps, memory="pageable").elapsed
-        tida = run_tida_heat(shape=shape, steps=steps, n_regions=args.regions).elapsed
+        tida = run_tida("heat", shape=shape, steps=steps, n_regions=args.regions).elapsed
         table.add_row(steps, base, base / pinned, base / acc, base / tida)
     print(table.format())
     print("\npaper shape: TiDA-acc dominates at few iterations (transfers hidden),")

@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from repro.baselines import run_tida_heat
+from repro.baselines import run_tida
 from repro.baselines.common import default_init, reference_heat
 from repro.bench.report import Table
 from repro.multi import run_multi_gpu_heat

@@ -12,7 +12,7 @@ Run:  python examples/out_of_core.py [--size 512] [--regions 16] [--steps 20]
 
 import argparse
 
-from repro.baselines import run_cuda_compute, run_tida_compute
+from repro.baselines import run_cuda_compute, run_tida
 from repro.config import k40m_pcie3
 from repro.errors import CudaMemoryAllocationError
 
@@ -41,12 +41,12 @@ def main() -> None:
         print(f"   cudaMalloc failed as expected: {exc}\n")
 
     print("2. TiDA-acc with full device memory:")
-    full = run_tida_compute(shape=shape, steps=args.steps, n_regions=args.regions)
+    full = run_tida("compute", shape=shape, steps=args.steps, n_regions=args.regions)
     print(f"   {full.elapsed:.3f}s  ({full.meta['n_slots']} slots)\n")
 
     print("3. TiDA-acc on the limited device (regions streamed through 2 slots):")
-    limited = run_tida_compute(shape=shape, steps=args.steps, n_regions=args.regions,
-                               device_memory_limit=limit)
+    limited = run_tida("compute", shape=shape, steps=args.steps, n_regions=args.regions,
+                       device_memory_limit=limit)
     overlap = limited.trace.overlap_fraction(["h2d", "d2h"], ["compute"])
     print(f"   {limited.elapsed:.3f}s  ({limited.meta['n_slots']} slots), "
           f"{overlap * 100:.1f}% of transfer time hidden")

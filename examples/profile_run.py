@@ -21,7 +21,7 @@ DAG + critpath summary); inspect it later with
 import argparse
 import json
 
-from repro.baselines import run_tida_heat
+from repro.baselines import run_tida
 from repro.check.dag import dag_to_json
 from repro.obs.critpath import RunDag, critpath_summary
 from repro.obs.report import build_critpath_report
@@ -36,8 +36,8 @@ def main() -> None:
                         help="also write the run manifest there")
     args = parser.parse_args()
 
-    r = run_tida_heat(
-        shape=(args.size, args.size), steps=args.steps,
+    r = run_tida(
+        "heat", shape=(args.size, args.size), steps=args.steps,
         n_regions=args.regions, check="observe",
     )
     marks = [m["ts"] for m in r.trace.marks if m["name"] == "iteration"]

@@ -24,7 +24,7 @@ run is still writing it).
 
 import argparse
 
-from repro.baselines import run_tida_compute
+from repro.baselines import run_tida
 from repro.obs.live import FlightRecorder, TelemetryBus, Watchdog, default_detectors
 from repro.obs.watch import parse_session, render
 
@@ -45,8 +45,8 @@ def main() -> None:
     bus.add_subscriber(FlightRecorder(incident_dir="incidents"))
     slots = dict(n_slots=1, prefetch_depth=0) if args.degrade else \
         dict(n_slots=4, prefetch_depth=2)
-    run_tida_compute(
-        shape=(args.size, args.size, args.size), steps=args.steps,
+    run_tida(
+        "compute", shape=(args.size, args.size, args.size), steps=args.steps,
         n_regions=args.regions, functional=False, telemetry=bus, **slots,
     )
     bus.close()

@@ -98,7 +98,7 @@ def _cmd_machine(_args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from .baselines.tida_runners import run_tida_heat
+    from .baselines.tida_runners import run_tida
 
     n_slots = None
     if args.memory_limit is not None:
@@ -117,8 +117,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   f"{region_bytes}-byte region slot per field (needs >= "
                   f"{2 * region_bytes})", file=sys.stderr)
             return 2
-    r = run_tida_heat(
-        shape=tuple(args.shape), steps=args.steps, n_regions=args.regions,
+    r = run_tida(
+        "heat", shape=tuple(args.shape), steps=args.steps, n_regions=args.regions,
         device_memory_limit=args.memory_limit, n_slots=n_slots,
         check="observe",
     )

@@ -13,8 +13,14 @@ a runnable program against the simulated runtimes:
 * :mod:`~repro.baselines.cuda_compute` / :mod:`~repro.baselines.acc_compute`
   — the same three-way split for the compute-intensive kernel (with the
   ``--use_fast_math`` CUDA variant of Fig. 6);
-* :mod:`~repro.baselines.tida_runners` — canonical TiDA-acc drivers for
-  both workloads (used by Figs. 5-8 and the ablations).
+* :mod:`~repro.baselines.workloads` — the workload catalog: heat, wave,
+  compute-intensive and variable-coefficient heat, each declared once as
+  a :class:`~repro.plan.Program` by :func:`build_workload`;
+* :mod:`~repro.baselines.tida_runners` — :func:`run_tida`, the TiDA-acc
+  driver for every catalog workload (Figs. 5-9, the ablations, the gates);
+* :mod:`~repro.baselines.hand_built` — :func:`run_hand_built`, the §V
+  loops written by hand: the differential oracle ``run_tida`` is
+  checked against.
 
 All runners share the :class:`~repro.baselines.common.BaselineResult`
 shape: virtual elapsed seconds, the trace, and (functional mode) the
@@ -33,14 +39,9 @@ from .acc_heat import run_acc_heat
 from .hybrid_heat import run_hybrid_heat
 from .cuda_compute import run_cuda_compute
 from .acc_compute import run_acc_compute
-from .tida_runners import run_tida_heat, run_tida_compute, run_tida_wave
-from .plan_runners import (
-    run_planned_heat,
-    run_planned_compute,
-    run_planned_wave,
-    run_planned_coeff_heat,
-    run_tida_coeff_heat,
-)
+from .workloads import WORKLOADS, WorkloadSpec, build_workload, default_kappa
+from .tida_runners import run_tida
+from .hand_built import run_hand_built
 
 __all__ = [
     "BaselineResult",
@@ -53,12 +54,10 @@ __all__ = [
     "run_hybrid_heat",
     "run_cuda_compute",
     "run_acc_compute",
-    "run_tida_heat",
-    "run_tida_compute",
-    "run_tida_wave",
-    "run_planned_heat",
-    "run_planned_compute",
-    "run_planned_wave",
-    "run_planned_coeff_heat",
-    "run_tida_coeff_heat",
+    "WORKLOADS",
+    "WorkloadSpec",
+    "build_workload",
+    "default_kappa",
+    "run_tida",
+    "run_hand_built",
 ]

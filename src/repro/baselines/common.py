@@ -47,6 +47,12 @@ def default_init(shape: tuple[int, ...], ghost: int = 0, dtype: Any = np.float64
     return (seq.astype(np.float64) / 2.0**32).reshape(full).astype(dtype)
 
 
+def default_kappa(shape: tuple[int, ...], seed: int = 7) -> np.ndarray:
+    """A deterministic positive conductivity field (variable-coefficient heat)."""
+    rng = np.random.default_rng(seed)
+    return 1.0 + 0.5 * rng.random(shape)
+
+
 def interior(arr: np.ndarray, ghost: int) -> np.ndarray:
     if ghost == 0:
         return arr

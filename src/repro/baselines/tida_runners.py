@@ -1,8 +1,10 @@
-"""Canonical TiDA-acc drivers for the paper's two workloads.
+"""The TiDA-acc driver for every workload in the catalog.
 
-These are the programs §V sketches, written against the public
-:class:`~repro.core.library.TidaAcc` API, parameterized the way the
-evaluation needs them: region count (Fig. 5: "16 regions gave the best
+:func:`run_tida` builds the named workload's
+:class:`~repro.plan.Program` (:func:`~repro.baselines.workloads.build_workload`),
+plans it with the caller's pinned knobs and executes it through
+:meth:`~repro.core.library.TidaAcc.run_program`, parameterized the way
+the evaluation needs it: region count (Fig. 5: "16 regions gave the best
 performance"), device-memory limit (Figs. 7/8), slot count, tile shape
 (ablation A4), and CPU/GPU mixing.
 """
@@ -15,242 +17,94 @@ from ..config import DEFAULT_MACHINE, MachineSpec
 from ..core.library import TidaAcc
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
-from ..kernels.compute_intensive import DEFAULT_KERNEL_ITERATION, compute_intensive_kernel
-from ..kernels.heat import heat_kernel
-from ..kernels.wave import wave_kernel
-from ..tida.boundary import BoundaryCondition, Dirichlet, Neumann
-from .common import BaselineResult, default_init
+from ..kernels.compute_intensive import DEFAULT_KERNEL_ITERATION
+from ..plan import plan_program, writebacks_skipped
+from ..tida.boundary import BoundaryCondition
+from .common import BaselineResult
+from .workloads import build_workload
 
 
-def run_tida_heat(
+def run_tida(
+    workload: str,
     machine: MachineSpec | None = None,
     *,
-    shape: tuple[int, ...] = (512, 512, 512),
-    steps: int = 100,
-    n_regions: int = 16,
+    shape: tuple[int, ...],
+    steps: int,
+    n_regions: int | None = 16,
+    n_slots: int | None = None,
+    eviction: str | None = "lru",
+    prefetch_depth: int | None = None,
+    device_memory_limit: int | None = None,
+    functional: bool = False,
+    mode: str | None = None,
+    initial: np.ndarray | None = None,
     coef: float = 0.1,
-    bc: BoundaryCondition | None = None,
-    functional: bool = False,
-    mode: str | None = None,
-    device_memory_limit: int | None = None,
-    n_slots: int | None = None,
-    tile_shape: tuple[int, ...] | None = None,
-    gpu: bool = True,
-    initial: np.ndarray | None = None,
-    prefetch_depth: int | None = None,
-    eviction: str = "lru",
-    faults: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-    check: str | bool | None = None,
-    telemetry=None,
-    order: str = "sequential",
-    order_seed: int | None = None,
-) -> BaselineResult:
-    """TiDA-acc heat solver: the Fig. 5 configuration.
-
-    Region transfers pipeline across per-slot streams; ghost cells are
-    exchanged with the hybrid CPU/GPU updater each step.  ``faults`` arms
-    a fault plan on the runtime and ``retry`` a recovery policy — the
-    resilience benchmark (Fig. 9) drives both.  ``check`` arms the hazard
-    checker (see :mod:`repro.check`); ``order``/``order_seed`` control the
-    tile-visit order (the schedule-exploration harness shuffles it).
-    """
-    machine = machine if machine is not None else DEFAULT_MACHINE
-    bc = bc if bc is not None else Neumann()
-    lib = TidaAcc(machine, functional=functional, mode=mode,
-                  device_memory_limit=device_memory_limit,
-                  prefetch_depth=prefetch_depth, eviction=eviction,
-                  faults=faults, retry=retry, check=check, telemetry=telemetry)
-    functional = lib.runtime.functional
-    kernel = heat_kernel(len(shape))
-    lib.add_array("u_old", shape, n_regions=n_regions, halo=1, n_slots=n_slots)
-    lib.add_array("u_new", shape, n_regions=n_regions, halo=1, n_slots=n_slots)
-    if functional:
-        init = initial if initial is not None else default_init(shape, 0)
-        lib.field("u_old").from_global(init)
-        lib.field("u_new").from_global(init)
-
-    t0 = lib.now
-    for _ in range(steps):
-        lib.fill_boundary("u_old", bc)
-        it = lib.iterator(
-            "u_new", "u_old", tile_shape=tile_shape, order=order, seed=order_seed
-        ).reset(gpu=gpu)
-        while it.is_valid():
-            lib.compute(it, kernel, params={"coef": coef})
-            it.next()
-        lib.swap("u_old", "u_new")
-    result = lib.gather("u_old") if functional else None
-    if not functional:
-        lib.manager("u_old").flush_to_host()
-    lib.synchronize()
-    elapsed = lib.now - t0
-    return BaselineResult(
-        name="tida-acc", elapsed=elapsed, shape=shape, steps=steps,
-        trace=lib.trace, result=result,
-        meta={
-            "n_regions": n_regions,
-            "n_slots": lib.manager("u_old").n_slots,
-            "device_memory_limit": device_memory_limit,
-            "tile_shape": tile_shape,
-            "gpu": gpu,
-            "prefetch_depth": prefetch_depth,
-            "eviction": eviction,
-            "mode": lib.mode,
-        },
-        metrics=lib.metrics.snapshot(),
-        dag=(list(lib.checker.dag) if lib.checker is not None else None),
-    )
-
-
-def run_tida_compute(
-    machine: MachineSpec | None = None,
-    *,
-    shape: tuple[int, ...] = (512, 512, 512),
-    steps: int = 100,
-    n_regions: int = 16,
-    kernel_iteration: int = DEFAULT_KERNEL_ITERATION,
-    functional: bool = False,
-    mode: str | None = None,
-    device_memory_limit: int | None = None,
-    n_slots: int | None = None,
-    gpu: bool = True,
-    initial: np.ndarray | None = None,
-    prefetch_depth: int | None = None,
-    eviction: str = "lru",
-    faults: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-    check: str | bool | None = None,
-    telemetry=None,
-    order: str = "sequential",
-    order_seed: int | None = None,
-) -> BaselineResult:
-    """TiDA-acc compute-intensive runner: the Figs. 6-8 configurations.
-
-    Single in-place field, no ghosts — with a device-memory limit the
-    per-slot streams turn every step into the Fig. 7 pipeline (eviction
-    download, upload, kernel — all overlapped across slots).  ``check``
-    arms the hazard checker; ``order``/``order_seed`` control the
-    tile-visit order (the schedule-exploration harness shuffles it).
-    """
-    machine = machine if machine is not None else DEFAULT_MACHINE
-    lib = TidaAcc(machine, functional=functional, mode=mode,
-                  device_memory_limit=device_memory_limit,
-                  prefetch_depth=prefetch_depth, eviction=eviction,
-                  faults=faults, retry=retry, check=check, telemetry=telemetry)
-    functional = lib.runtime.functional
-    kernel = compute_intensive_kernel(kernel_iteration)
-    lib.add_array("data", shape, n_regions=n_regions, halo=0, n_slots=n_slots)
-    if functional:
-        init = initial if initial is not None else default_init(shape, 0)
-        lib.field("data").from_global(init)
-
-    t0 = lib.now
-    for _ in range(steps):
-        it = lib.iterator("data", order=order, seed=order_seed).reset(gpu=gpu)
-        while it.is_valid():
-            lib.compute(it, kernel, params={"kernel_iteration": kernel_iteration})
-            it.next()
-    result = lib.gather("data") if functional else None
-    if not functional:
-        lib.manager("data").flush_to_host()
-    lib.synchronize()
-    elapsed = lib.now - t0
-    return BaselineResult(
-        name="tida-acc", elapsed=elapsed, shape=shape, steps=steps,
-        trace=lib.trace, result=result,
-        meta={
-            "n_regions": n_regions,
-            "n_slots": lib.manager("data").n_slots,
-            "device_memory_limit": device_memory_limit,
-            "kernel_iteration": kernel_iteration,
-            "gpu": gpu,
-            "prefetch_depth": prefetch_depth,
-            "eviction": eviction,
-            "mode": lib.mode,
-        },
-        metrics=lib.metrics.snapshot(),
-        dag=(list(lib.checker.dag) if lib.checker is not None else None),
-    )
-
-
-def run_tida_wave(
-    machine: MachineSpec | None = None,
-    *,
-    shape: tuple[int, ...] = (512, 512),
-    steps: int = 100,
-    n_regions: int = 16,
     c2: float = 0.25,
+    kernel_iteration: int = DEFAULT_KERNEL_ITERATION,
     bc: BoundaryCondition | None = None,
-    functional: bool = False,
-    mode: str | None = None,
-    device_memory_limit: int | None = None,
-    n_slots: int | None = None,
-    tile_shape: tuple[int, ...] | None = None,
     gpu: bool = True,
-    initial: np.ndarray | None = None,
-    prefetch_depth: int | None = None,
-    eviction: str = "lru",
+    tile_shape: tuple[int, ...] | None = None,
+    order: str = "sequential",
+    order_seed: int | None = None,
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     check: str | bool | None = None,
     telemetry=None,
-    order: str = "sequential",
-    order_seed: int | None = None,
 ) -> BaselineResult:
-    """TiDA-acc wave solver: three fields, three-way rotation per step.
+    """Run ``workload`` (a :data:`~repro.baselines.workloads.WORKLOADS` name).
 
-    The second-order wave step reads two time levels (``u``, ``u_prev``)
-    and writes a third (``u_next``) — the widest compute signature the
-    §V API supports — so its schedule stresses multi-field slot pressure
-    in a way heat (two fields) and compute-intensive (one) do not.
-    Options mirror :func:`run_tida_heat`.
+    ``n_regions`` and ``eviction`` default to the paper's configuration;
+    ``None`` for either (or for ``n_slots``/``prefetch_depth``) lets the
+    planner derive it.  Region transfers pipeline across per-slot
+    streams, and stencil halos are exchanged with the hybrid CPU/GPU
+    updater whenever the planner cannot prove them clean.  ``faults``
+    arms a fault plan on the runtime and ``retry`` a recovery policy (the
+    Fig. 9 resilience benchmark drives both); ``check`` arms the hazard
+    checker (see :mod:`repro.check`); ``order``/``order_seed`` control
+    the tile-visit order (the schedule-exploration harness shuffles it).
+    Initial arrays are built only in functional mode.
     """
     machine = machine if machine is not None else DEFAULT_MACHINE
-    bc = bc if bc is not None else Dirichlet(0.0)
+    spec = build_workload(
+        workload, shape=shape, steps=steps, initial=initial, coef=coef,
+        c2=c2, kernel_iteration=kernel_iteration, bc=bc, gpu=gpu,
+    )
+    plan = plan_program(
+        spec.prog, machine=machine, free_memory=device_memory_limit,
+        n_regions=n_regions, n_slots=n_slots,
+        eviction=eviction, prefetch_depth=prefetch_depth,
+    )
     lib = TidaAcc(machine, functional=functional, mode=mode,
                   device_memory_limit=device_memory_limit,
-                  prefetch_depth=prefetch_depth, eviction=eviction,
+                  prefetch_depth=plan.prefetch_depth, eviction=plan.eviction,
                   faults=faults, retry=retry, check=check, telemetry=telemetry)
     functional = lib.runtime.functional
-    kernel = wave_kernel(len(shape))
-    for name in ("u_next", "u", "u_prev"):
-        lib.add_array(name, shape, n_regions=n_regions, halo=1, n_slots=n_slots)
-    if functional:
-        init = initial if initial is not None else default_init(shape, 0)
-        lib.field("u").from_global(init)
-        lib.field("u_prev").from_global(init)
-
-    t0 = lib.now
-    for _ in range(steps):
-        lib.fill_boundary("u", bc)
-        it = lib.iterator(
-            "u_next", "u", "u_prev", tile_shape=tile_shape, order=order,
-            seed=order_seed,
-        ).reset(gpu=gpu)
-        while it.is_valid():
-            lib.compute(it, kernel, params={"c2": c2})
-            it.next()
-        lib.swap("u_prev", "u")
-        lib.swap("u", "u_next")
-    result = lib.gather("u") if functional else None
+    run = lib.run_program(
+        spec.prog, plan=plan, inputs=spec.inputs if functional else None,
+        order=order, order_seed=order_seed, tile_shape=tile_shape,
+    )
+    result = lib.gather(spec.gather) if functional else None
     if not functional:
-        lib.manager("u").flush_to_host()
+        lib.manager(spec.gather).flush_to_host()
     lib.synchronize()
-    elapsed = lib.now - t0
+    metrics = lib.metrics.snapshot()
     return BaselineResult(
-        name="tida-acc-wave", elapsed=elapsed, shape=shape, steps=steps,
-        trace=lib.trace, result=result,
+        name=f"tida-acc-{workload}", elapsed=lib.now - run.start,
+        shape=tuple(shape), steps=steps, trace=lib.trace, result=result,
         meta={
-            "n_regions": n_regions,
-            "n_slots": lib.manager("u").n_slots,
+            "n_regions": plan.n_regions,
+            "n_slots": lib.manager(spec.gather).n_slots,
             "device_memory_limit": device_memory_limit,
-            "tile_shape": tile_shape,
-            "gpu": gpu,
-            "prefetch_depth": prefetch_depth,
-            "eviction": eviction,
+            "eviction": plan.eviction,
+            "prefetch_depth": plan.prefetch_depth,
+            "ro_fields": list(plan.ro_fields),
+            "loop_invariant_halos": list(plan.loop_invariant_halos),
+            "fills": run.fills,
+            "fills_elided": run.fills_elided,
+            "halo_bytes_saved": run.halo_bytes_saved,
+            "writebacks_skipped": writebacks_skipped(metrics, plan),
             "mode": lib.mode,
         },
-        metrics=lib.metrics.snapshot(),
+        metrics=metrics,
         dag=(list(lib.checker.dag) if lib.checker is not None else None),
     )

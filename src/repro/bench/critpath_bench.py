@@ -17,15 +17,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..baselines.tida_runners import run_tida_heat
+from ..baselines.tida_runners import run_tida
 from ..check.dag import dag_to_json
 from ..obs.critpath import RunDag, critpath_metrics, critpath_summary
 from .gate import SCHEMA, GateResult
 
 
 def run(out_dir: Path, *, quick: bool = False) -> GateResult:
-    r = run_tida_heat(shape=(128, 128, 128), n_regions=8, steps=3,
-                      check="observe")
+    r = run_tida("heat", shape=(128, 128, 128), n_regions=8, steps=3,
+                 check="observe")
     marks = [m["ts"] for m in r.trace.marks if m["name"] == "iteration"]
     summary = critpath_summary(RunDag.from_nodes(r.dag or (), marks=marks))
     counters = critpath_metrics(summary)

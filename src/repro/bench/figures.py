@@ -17,7 +17,7 @@ from ..baselines.acc_heat import run_acc_heat
 from ..baselines.cuda_compute import run_cuda_compute
 from ..baselines.cuda_heat import run_cuda_heat
 from ..baselines.hybrid_heat import run_hybrid_heat
-from ..baselines.tida_runners import run_tida_compute, run_tida_heat
+from ..baselines.tida_runners import run_tida
 from ..faults import FaultPlan, FaultRule, RetryPolicy
 from ..kernels.compute_intensive import DEFAULT_KERNEL_ITERATION, compute_intensive_kernel
 from ..kernels.heat import heat_kernel
@@ -89,7 +89,7 @@ def figure3(
     engine busy times.
     """
     machine = machine if machine is not None else DEFAULT_MACHINE
-    r = run_tida_heat(machine, shape=shape, steps=steps, n_regions=n_regions)
+    r = run_tida("heat", machine, shape=shape, steps=steps, n_regions=n_regions)
     overlap = r.trace.overlap_fraction(["compute"], ["h2d", "d2h"])
     serial = sum(r.trace.busy_time(lane) for lane in ("h2d", "compute", "d2h"))
     table = Table(
@@ -120,7 +120,7 @@ def figure4(
     the second step's exchange takes the hybrid CPU/GPU path Fig. 4 shows.
     """
     machine = machine if machine is not None else DEFAULT_MACHINE
-    r = run_tida_heat(machine, shape=shape, steps=2, n_regions=n_regions)
+    r = run_tida("heat", machine, shape=shape, steps=2, n_regions=n_regions)
     ghost_events = [
         e for e in r.trace
         if e.name.startswith(("ghost-idx", "bc-idx", "ghost:", "bc-faces"))
@@ -167,7 +167,7 @@ def figure5(
         base = run_cuda_heat(machine, shape=shape, steps=steps, memory="pageable").elapsed
         pinned = run_cuda_heat(machine, shape=shape, steps=steps, memory="pinned").elapsed
         acc = run_acc_heat(machine, shape=shape, steps=steps, memory="pageable").elapsed
-        tida = run_tida_heat(machine, shape=shape, steps=steps, n_regions=n_regions).elapsed
+        tida = run_tida("heat", machine, shape=shape, steps=steps, n_regions=n_regions).elapsed
         table.add_row(steps, base / pinned, base / acc, base / tida)
     table.add_note("paper: TiDA-acc largest at few iterations; converges to CUDA; OpenACC lowest")
     return table
@@ -213,8 +213,8 @@ def figure6(
     )
     table.add_row(
         "tida-acc",
-        run_tida_compute(machine, shape=shape, steps=steps, n_regions=n_regions,
-                         kernel_iteration=kernel_iteration).elapsed,
+        run_tida("compute", machine, shape=shape, steps=steps, n_regions=n_regions,
+                 kernel_iteration=kernel_iteration).elapsed,
     )
     table.add_note("paper: PGI-math builds (OpenACC, TiDA-acc) and fast-math beat CUDA libm")
     return table
@@ -236,8 +236,8 @@ def figure7(
     machine = machine if machine is not None else DEFAULT_MACHINE
     region_bytes = _region_bytes(shape, n_regions)
     limit = 2 * region_bytes + region_bytes // 2
-    r = run_tida_compute(
-        machine, shape=shape, steps=steps, n_regions=n_regions,
+    r = run_tida(
+        "compute", machine, shape=shape, steps=steps, n_regions=n_regions,
         kernel_iteration=kernel_iteration, device_memory_limit=limit,
     )
     overlap = r.trace.overlap_fraction(["h2d", "d2h"], ["compute"])
@@ -268,12 +268,12 @@ def figure8(
     machine = machine if machine is not None else DEFAULT_MACHINE
     region_bytes = _region_bytes(shape, n_regions)
     limit = 2 * region_bytes + region_bytes // 2
-    full = run_tida_compute(machine, shape=shape, steps=steps, n_regions=n_regions,
-                            kernel_iteration=kernel_iteration)
-    limited = run_tida_compute(machine, shape=shape, steps=steps, n_regions=n_regions,
-                               kernel_iteration=kernel_iteration, device_memory_limit=limit)
-    one = run_tida_compute(machine, shape=shape, steps=steps, n_regions=1,
-                           kernel_iteration=kernel_iteration)
+    full = run_tida("compute", machine, shape=shape, steps=steps, n_regions=n_regions,
+                    kernel_iteration=kernel_iteration)
+    limited = run_tida("compute", machine, shape=shape, steps=steps, n_regions=n_regions,
+                       kernel_iteration=kernel_iteration, device_memory_limit=limit)
+    one = run_tida("compute", machine, shape=shape, steps=steps, n_regions=1,
+                   kernel_iteration=kernel_iteration)
     table = Table(
         title=f"Figure 8: compute-intensive {shape}, {steps} steps",
         columns=["configuration", "seconds", "n_slots"],
@@ -326,9 +326,9 @@ def figure8_prefetch(
     )
     base = None
     for label, kw in configs:
-        r = run_tida_compute(machine, shape=shape, steps=steps, n_regions=n_regions,
-                             kernel_iteration=kernel_iteration,
-                             device_memory_limit=limit, **kw)
+        r = run_tida("compute", machine, shape=shape, steps=steps, n_regions=n_regions,
+                     kernel_iteration=kernel_iteration,
+                     device_memory_limit=limit, **kw)
         counters = r.metrics["counters"]
 
         def total(prefix: str) -> float:
@@ -398,8 +398,8 @@ def figure9_resilience(
             ))
     base = None
     for label, plan in plans:
-        r = run_tida_heat(machine, shape=shape, steps=steps, n_regions=n_regions,
-                          faults=plan, retry=retry)
+        r = run_tida("heat", machine, shape=shape, steps=steps, n_regions=n_regions,
+                     faults=plan, retry=retry)
         counters = r.metrics["counters"]
         base = base if base is not None else r.elapsed
         lanes = r.trace.lanes()
@@ -440,7 +440,7 @@ def ablation_region_count(
     measured = sweep_region_counts(
         machine, kernel=kernel, domain_cells=_cells(shape), steps=steps,
         candidates=candidates, strategy="measure",
-        measure_fn=lambda n: run_tida_heat(machine, shape=shape, steps=steps, n_regions=n).elapsed,
+        measure_fn=lambda n: run_tida("heat", machine, shape=shape, steps=steps, n_regions=n).elapsed,
     )
     modelled = sweep_region_counts(
         machine, kernel=kernel, domain_cells=_cells(shape), steps=steps,
@@ -477,8 +477,8 @@ def ablation_prefetch_depth(
     limit = n_slots * region_bytes + region_bytes // 2
     sweep = sweep_prefetch_depth(
         candidates=candidates,
-        measure_fn=lambda depth: run_tida_compute(
-            machine, shape=shape, steps=steps, n_regions=n_regions,
+        measure_fn=lambda depth: run_tida(
+            "compute", machine, shape=shape, steps=steps, n_regions=n_regions,
             kernel_iteration=kernel_iteration, device_memory_limit=limit,
             prefetch_depth=depth, eviction="lookahead",
         ).elapsed,
@@ -510,7 +510,7 @@ def ablation_interconnect(
     )
     for label, m in ((machine_a.link.name, machine_a), (machine_b.link.name, machine_b)):
         cuda = run_cuda_heat(m, shape=shape, steps=steps, memory="pinned").elapsed
-        tida = run_tida_heat(m, shape=shape, steps=steps, n_regions=n_regions).elapsed
+        tida = run_tida("heat", m, shape=shape, steps=steps, n_regions=n_regions).elapsed
         table.add_row(label, cuda, tida)
     table.add_note("a faster link shrinks TiDA-acc's advantage on transfer-bound runs")
     return table
@@ -532,23 +532,23 @@ def ablation_model_accuracy(
     )
     ck = compute_intensive_kernel(kernel_iteration)
 
-    sim = run_tida_compute(machine, shape=shape, steps=10, n_regions=n_regions,
-                           kernel_iteration=kernel_iteration).elapsed
+    sim = run_tida("compute", machine, shape=shape, steps=10, n_regions=n_regions,
+                   kernel_iteration=kernel_iteration).elapsed
     mod = estimate_resident(machine, ck, domain_cells=cells, steps=10,
                             n_regions=n_regions).total
     table.add_row("compute-intensive resident (10 steps)", mod, sim, mod / sim)
 
     region_bytes = _region_bytes(shape, n_regions)
     limit = 2 * region_bytes + region_bytes // 2
-    sim = run_tida_compute(machine, shape=shape, steps=10, n_regions=n_regions,
-                           kernel_iteration=kernel_iteration,
-                           device_memory_limit=limit).elapsed
+    sim = run_tida("compute", machine, shape=shape, steps=10, n_regions=n_regions,
+                   kernel_iteration=kernel_iteration,
+                   device_memory_limit=limit).elapsed
     mod = estimate_streaming(machine, ck, domain_cells=cells, steps=10,
                              n_regions=n_regions).total
     table.add_row("compute-intensive streaming (10 steps)", mod, sim, mod / sim)
 
     hk = heat_kernel(len(shape))
-    sim = run_tida_heat(machine, shape=shape, steps=10, n_regions=n_regions).elapsed
+    sim = run_tida("heat", machine, shape=shape, steps=10, n_regions=n_regions).elapsed
     mod = estimate_resident(machine, hk, domain_cells=cells, steps=10,
                             n_regions=n_regions, fields=2, result_fields=1,
                             ghost_width=1).total
@@ -586,8 +586,8 @@ def ablation_cpu_tile_size(
             for s in tile_shape:
                 cells *= s
         ws = cells * 8 * 2 / MiB
-        r = run_tida_heat(machine, shape=shape, steps=steps, n_regions=n_regions,
-                          tile_shape=tile_shape, gpu=False)
+        r = run_tida("heat", machine, shape=shape, steps=steps, n_regions=n_regions,
+                     tile_shape=tile_shape, gpu=False)
         table.add_row("region" if tile_shape is None else str(tile_shape), ws, r.elapsed)
     table.add_note("paper §IV-A: pick tile size for cache reuse (CPU), region size for parallelism")
     return table
@@ -608,8 +608,8 @@ def ablation_tile_size(
         columns=["tile_shape", "seconds", "kernel_launches"],
     )
     for tile_shape in (None, (slab, shape[1], shape[2] // 2), (slab, shape[1] // 2, shape[2] // 2)):
-        r = run_tida_heat(machine, shape=shape, steps=steps, n_regions=n_regions,
-                          tile_shape=tile_shape)
+        r = run_tida("heat", machine, shape=shape, steps=steps, n_regions=n_regions,
+                     tile_shape=tile_shape)
         launches = len([e for e in r.trace if e.category == "kernel"])
         table.add_row("region" if tile_shape is None else str(tile_shape), r.elapsed, launches)
     table.add_note("paper §V: tile size == region size recommended for GPU execution")

@@ -68,44 +68,44 @@ class Leg:
 
 
 def _legs() -> list[Leg]:
-    from ..baselines.tida_runners import run_tida_compute, run_tida_heat
+    from ..baselines.tida_runners import run_tida
     from ..multi.heat import run_multi_gpu_heat
 
     return [
         Leg("nominal_heat", 1e-4,
-            lambda t: run_tida_heat(shape=SHAPE, steps=6, n_regions=8,
-                                    functional=False, telemetry=t)),
+            lambda t: run_tida("heat", shape=SHAPE, steps=6, n_regions=8,
+                               functional=False, telemetry=t)),
         Leg("nominal_compute", 2e-4,
-            lambda t: run_tida_compute(shape=SHAPE, steps=3, n_regions=8,
-                                       functional=False, telemetry=t)),
+            lambda t: run_tida("compute", shape=SHAPE, steps=3, n_regions=8,
+                               functional=False, telemetry=t)),
         Leg("nominal_streaming", 2e-4,
-            lambda t: run_tida_compute(shape=SHAPE, steps=3, n_regions=16,
-                                       n_slots=4, prefetch_depth=2,
-                                       functional=False, telemetry=t)),
+            lambda t: run_tida("compute", shape=SHAPE, steps=3, n_regions=16,
+                               n_slots=4, prefetch_depth=2,
+                               functional=False, telemetry=t)),
         Leg("nominal_multi", 1e-4,
             lambda t: run_multi_gpu_heat(shape=SHAPE, steps=4, n_devices=2,
                                          regions_per_device=4,
                                          functional=False, telemetry=t)),
         Leg("overlap_collapse", 2e-4,
-            lambda t: run_tida_compute(shape=SHAPE, steps=3, n_regions=16,
-                                       n_slots=1, prefetch_depth=0,
-                                       functional=False, telemetry=t),
+            lambda t: run_tida("compute", shape=SHAPE, steps=3, n_regions=16,
+                               n_slots=1, prefetch_depth=0,
+                               functional=False, telemetry=t),
             expect_alerts=frozenset({"overlap_collapse"}), nominal=False),
         Leg("cache_thrash", 2e-4,
-            lambda t: run_tida_heat(shape=SHAPE, steps=6, n_regions=8,
-                                    n_slots=1, prefetch_depth=0,
-                                    functional=False, telemetry=t),
+            lambda t: run_tida("heat", shape=SHAPE, steps=6, n_regions=8,
+                               n_slots=1, prefetch_depth=0,
+                               functional=False, telemetry=t),
             expect_alerts=frozenset({"cache_thrash"}), nominal=False),
         Leg("retry_storm", 1e-3,
-            lambda t: run_tida_compute(
-                shape=SHAPE, steps=3, n_regions=8,
+            lambda t: run_tida(
+                "compute", shape=SHAPE, steps=3, n_regions=8,
                 faults=FaultPlan.from_spec("launch:p=0.3; seed=11"),
                 retry=RetryPolicy(max_attempts=6),
                 functional=False, telemetry=t),
             expect_alerts=frozenset({"retry_storm"}), nominal=False),
         Leg("incident_fault", 1e-3,
-            lambda t: run_tida_heat(
-                shape=SHAPE, steps=2, n_regions=4,
+            lambda t: run_tida(
+                "heat", shape=SHAPE, steps=2, n_regions=4,
                 faults=FaultPlan([FaultRule(op="h2d")]),
                 retry=RetryPolicy(max_attempts=2),
                 functional=False, telemetry=t),

@@ -2,13 +2,15 @@
 
 The acceptance spine of the access-set-driven planner (see
 :mod:`repro.plan`): for every workload the conformance matrix covers —
-heat, wave, compute-intensive, variable-coefficient heat — the
-planner-derived run must be **byte-identical** to the hand-built TiDA-acc
-driver on every eviction × prefetch × visit-order leg, with zero racy
-hazards, and the CG solver's ``halo="auto"`` decomposition must solve to
-the same bits as the hand-pinned ghost width.  Timing-only planned runs
-must reproduce the functional trace/DAG/counters bit-for-bit (the same
-contract :mod:`repro.bench.simspeed` enforces for the hand-built path).
+heat, wave, compute-intensive, variable-coefficient heat — the catalog
+run (:func:`~repro.baselines.tida_runners.run_tida`) must be
+**byte-identical** to the hand-built §V oracle
+(:mod:`repro.baselines.hand_built`) on every eviction × prefetch ×
+visit-order leg, with zero racy hazards, and the CG solver's
+``halo="auto"`` decomposition must solve to the same bits as the
+hand-pinned ghost width.  Timing-only runs must reproduce the functional
+trace/DAG/counters bit-for-bit (the same contract
+:mod:`repro.bench.simspeed` enforces).
 
 On top of conformance, the planner has to *pay for itself*: the
 variable-coefficient workload runs under memory pressure, where the
@@ -35,11 +37,8 @@ from typing import Any
 
 import numpy as np
 
-from ..baselines.plan_runners import (
-    run_planned_coeff_heat,
-    run_planned_heat,
-    run_tida_coeff_heat,
-)
+from ..baselines.hand_built import run_hand_built
+from ..baselines.tida_runners import run_tida
 from ..check.explore import conformance_matrix
 from .gate import GateResult
 
@@ -55,8 +54,8 @@ MATRIX_AXES = dict(
     timing_seeds=(0,),
 )
 
-#: Paired workloads: hand-built matrix vs planner-derived matrix, same
-#: knobs.  The coeff-heat pair runs under a device-memory limit so every
+#: Paired workloads: catalog matrix vs hand-built matrix, same knobs.
+#: The coeff-heat pair runs under a device-memory limit so every
 #: leg crosses the eviction/write-back paths the read-only proof elides.
 CONFORMANCE_WORKLOADS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("heat", dict(shape=(32, 16, 16), steps=2, n_regions=8)),
@@ -81,8 +80,8 @@ def conformance_check() -> tuple[list[str], dict[str, Any]]:
     failures: list[str] = []
     detail: dict[str, Any] = {}
     for name, kwargs in CONFORMANCE_WORKLOADS:
-        hand = conformance_matrix(name, **MATRIX_AXES, **kwargs)
-        planned = conformance_matrix(f"{name}-planned", **MATRIX_AXES, **kwargs)
+        hand = conformance_matrix(f"{name}-hand", **MATRIX_AXES, **kwargs)
+        planned = conformance_matrix(name, **MATRIX_AXES, **kwargs)
         for side, report in (("hand", hand), ("planned", planned)):
             if not report.ok:
                 failures.extend(f"{name}/{side}: {f}" for f in report.failures())
@@ -131,18 +130,16 @@ def timing_drift_check() -> list[str]:
     from .simspeed import _fingerprint
 
     workloads = (
-        ("heat-planned", run_planned_heat,
-         dict(shape=(32, 16, 16), steps=2, n_regions=8)),
-        ("coeff-heat-planned", run_planned_coeff_heat,
-         dict(shape=(32, 16, 16), steps=3, n_regions=8, n_slots=2,
-              device_memory_limit=98_304)),
+        ("heat", dict(shape=(32, 16, 16), steps=2, n_regions=8, eviction=None)),
+        ("coeff-heat", dict(shape=(32, 16, 16), steps=3, n_regions=8, n_slots=2,
+                            device_memory_limit=98_304, eviction=None)),
     )
     failures: list[str] = []
-    for name, fn, kw in workloads:
+    for name, kw in workloads:
         fp = {}
         for mode in ("functional", "timing"):
-            res = fn(functional=(mode == "functional"), mode=mode,
-                     check="observe", **kw)
+            res = run_tida(name, functional=(mode == "functional"), mode=mode,
+                           check="observe", **kw)
             fp[mode] = _fingerprint(res)
         for part, a, b in zip(
             ("trace", "dag", "counters", "elapsed"),
@@ -156,8 +153,8 @@ def timing_drift_check() -> list[str]:
 def measure_savings(config: dict[str, Any] | None = None) -> dict[str, Any]:
     """Planned vs naive variable-coefficient heat under memory pressure."""
     kw = dict(SAVINGS_CONFIG if config is None else config)
-    naive = run_tida_coeff_heat(**kw)
-    planned = run_planned_coeff_heat(**kw)
+    naive = run_hand_built("coeff-heat", **kw)
+    planned = run_tida("coeff-heat", **kw)
     identical = naive.result.tobytes() == planned.result.tobytes()
     meta = planned.meta
     return {

@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..baselines.common import default_init
-from ..baselines.tida_runners import run_tida_compute
+from ..baselines.tida_runners import run_tida
 from ..obs import metrics as obs_metrics
 from ..obs.metrics import MetricsRegistry
 from .gate import GateResult
@@ -47,8 +47,8 @@ def functional_check() -> bool:
     init = default_init(shape, 0)
     results = []
     for kw in (DEMAND, PREFETCH):
-        r = run_tida_compute(
-            shape=shape, steps=steps, n_regions=N_REGIONS, n_slots=N_SLOTS,
+        r = run_tida(
+            "compute", shape=shape, steps=steps, n_regions=N_REGIONS, n_slots=N_SLOTS,
             kernel_iteration=KERNEL_ITERATION, functional=True,
             initial=init.copy(), **kw,
         )
@@ -61,15 +61,15 @@ def run(out_dir: Path, *, quick: bool = False) -> GateResult:
         return GateResult(failures=["prefetch pipeline changed functional results"])
     print("functional check: demand and prefetch results byte-identical")
 
-    demand = run_tida_compute(
-        shape=SHAPE, steps=STEPS, n_regions=N_REGIONS, n_slots=N_SLOTS,
+    demand = run_tida(
+        "compute", shape=SHAPE, steps=STEPS, n_regions=N_REGIONS, n_slots=N_SLOTS,
         kernel_iteration=KERNEL_ITERATION, **DEMAND,
     )
     # only the prefetch run's runtime counters enter the manifest, so the
     # gate watches the pipeline's own hit/waste/stall numbers undiluted
     obs_metrics.start_collection()
-    prefetch = run_tida_compute(
-        shape=SHAPE, steps=STEPS, n_regions=N_REGIONS, n_slots=N_SLOTS,
+    prefetch = run_tida(
+        "compute", shape=SHAPE, steps=STEPS, n_regions=N_REGIONS, n_slots=N_SLOTS,
         kernel_iteration=KERNEL_ITERATION, **PREFETCH,
     )
     bench = MetricsRegistry()

@@ -29,12 +29,14 @@ raw measurements live under the manifest's ungated ``"simspeed"`` key.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-from ..baselines.tida_runners import run_tida_compute, run_tida_heat, run_tida_wave
+from ..baselines.tida_runners import run_tida
 from ..check.dag import dag_to_json
 from ..check.explore import conformance_matrix
 from ..config import DEFAULT_MACHINE, MachineSpec
@@ -68,9 +70,10 @@ MODES_CONFIG = dict(
 #: Small differential workloads: every one must be byte-identical
 #: between functional and timing mode before any timing is trusted.
 DRIFT_WORKLOADS: tuple[tuple[str, Callable[..., Any], dict[str, Any]], ...] = (
-    ("heat", run_tida_heat, dict(shape=(32, 16, 16), steps=2, n_regions=8)),
-    ("wave", run_tida_wave, dict(shape=(48, 48), steps=3, n_regions=8)),
-    ("limited-memory", run_tida_compute,
+    ("heat", partial(run_tida, "heat"),
+     dict(shape=(32, 16, 16), steps=2, n_regions=8)),
+    ("wave", partial(run_tida, "wave"), dict(shape=(48, 48), steps=3, n_regions=8)),
+    ("limited-memory", partial(run_tida, "compute"),
      dict(shape=(64, 16, 16), steps=2, n_regions=8, n_slots=3,
           device_memory_limit=70_000)),
     ("multi-gpu", run_multi_gpu_heat,
@@ -122,8 +125,8 @@ def measure_modes(config: dict[str, Any] | None = None) -> dict[str, float]:
     dag = None
     for mode in ("functional", "timing"):
         t0 = time.perf_counter()
-        res = run_tida_compute(
-            machine, functional=(mode == "functional"), mode=mode,
+        res = run_tida(
+            "compute", machine, functional=(mode == "functional"), mode=mode,
             check="observe",
             device_memory_limit=(kw["n_slots"] * region_bytes + 4096),
             **kw,
@@ -188,14 +191,17 @@ def measure_machine_sweep(n_candidates: int = 96) -> dict[str, float]:
     ]
 
     def measure(machine: MachineSpec):
-        return run_tida_compute(
-            machine, check="observe",
+        return run_tida(
+            "compute", machine, check="observe",
             shape=(64, 16, 16), steps=2, n_regions=8, n_slots=3,
             device_memory_limit=70_000,
         )
 
     wall: dict[str, float] = {}
     for strategy in ("measure", "replay"):
+        # each side takes only tens of ms: a full collection of garbage
+        # left by earlier work would land in one side and swamp the ratio
+        gc.collect()
         t0 = time.perf_counter()
         sweep_machines(candidates, measure_result_fn=measure,
                        strategy=strategy, base=base)

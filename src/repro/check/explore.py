@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -219,11 +220,12 @@ def conformance_matrix(
 ) -> ExploreReport:
     """The canonical sweep: eviction × prefetch depth × visit order × timing.
 
-    Runs the named baseline workload (``"heat"``, ``"wave"``,
-    ``"compute"``, ``"coeff-heat"``, or their planner-derived
-    ``"*-planned"`` twins) in functional mode with the hazard checker
-    observing,
-    over every combination, and reports digests + hazard counts.
+    Runs the named catalog workload (``"heat"``, ``"wave"``,
+    ``"compute"``, ``"coeff-heat"`` through
+    :func:`~repro.baselines.tida_runners.run_tida`, or their hand-built
+    ``"*-hand"`` oracles) in functional mode with the hazard checker
+    observing, over every combination, and reports digests + hazard
+    counts.
     ``faults_spec`` additionally arms a
     :class:`~repro.faults.plan.FaultPlan` (``FaultPlan.from_spec``) with a
     retry policy, folding transfer-fault re-issues into the explored
@@ -245,18 +247,9 @@ def conformance_matrix(
     ``--quick`` harness path uses it to keep slow legs cheap.
     """
     # late imports: baselines import the library, which imports this package
-    from ..baselines.plan_runners import (
-        run_planned_compute,
-        run_planned_coeff_heat,
-        run_planned_heat,
-        run_planned_wave,
-        run_tida_coeff_heat,
-    )
-    from ..baselines.tida_runners import (
-        run_tida_compute,
-        run_tida_heat,
-        run_tida_wave,
-    )
+    from ..baselines.hand_built import run_hand_built
+    from ..baselines.tida_runners import run_tida
+    from ..baselines.workloads import WORKLOADS
     from ..config import DEFAULT_MACHINE
     from ..faults.retry import RetryPolicy
     from ..obs.critpath import replay_machine
@@ -267,20 +260,13 @@ def conformance_matrix(
         raise ValueError(
             f'surrogate must be "full" or "replay", got {surrogate!r}'
         )
-    runners = {
-        "heat": run_tida_heat,
-        "compute": run_tida_compute,
-        "wave": run_tida_wave,
-        "coeff-heat": run_tida_coeff_heat,
-        # planner-derived twins: same workloads driven through
-        # Program/plan_program/run_program.  A "-planned" matrix leg must
-        # produce the same digest set as its hand-built counterpart —
-        # that differential is the planner's acceptance spine.
-        "heat-planned": run_planned_heat,
-        "compute-planned": run_planned_compute,
-        "wave-planned": run_planned_wave,
-        "coeff-heat-planned": run_planned_coeff_heat,
-    }
+    # "<name>" runs the catalog Program through run_tida; "<name>-hand"
+    # runs the hand-built oracle.  A "<name>" matrix must produce the
+    # same digest set as its "-hand" counterpart — that differential is
+    # the planner's acceptance spine.
+    runners = {name: partial(run_tida, name) for name in WORKLOADS}
+    runners.update({f"{name}-hand": partial(run_hand_built, name)
+                    for name in WORKLOADS})
     try:
         runner = runners[workload]
     except KeyError:

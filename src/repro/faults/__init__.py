@@ -11,7 +11,7 @@ device-resident region to the host — no data is silently lost.
 
 Wiring: ``CudaRuntime(faults=plan)`` (or ``runtime.set_fault_plan``)
 arms the plan; ``TidaAcc(retry=RetryPolicy(...))`` arms recovery;
-``run_tida_heat(faults=..., retry=...)`` and the harness ``--faults``
+``run_tida("heat", faults=..., retry=...)`` and the harness ``--faults``
 knob expose both.  Everything is observable via ``faults.*`` counters
 and ``fault-*`` trace decision marks.
 """

@@ -57,8 +57,7 @@ def sweep_region_counts(
 
     With ``strategy="measure"``, ``measure_fn(n_regions) -> seconds`` must
     be supplied (typically a lambda around a timing-only
-    :func:`~repro.baselines.tida_runners.run_tida_heat` /
-    ``run_tida_compute`` call).
+    :func:`~repro.baselines.tida_runners.run_tida` call).
     """
     machine = machine if machine is not None else DEFAULT_MACHINE
     if strategy not in ("model", "measure"):
@@ -112,8 +111,8 @@ def sweep_prefetch_depth(
     model has no notion of speculative uploads).
 
     ``measure_fn(depth) -> seconds`` is typically a lambda around a
-    timing-only :func:`~repro.baselines.tida_runners.run_tida_compute`
-    call with ``prefetch_depth=depth``.  Depth 0 is the demand-paged
+    timing-only :func:`~repro.baselines.tida_runners.run_tida` call with
+    ``prefetch_depth=depth``.  Depth 0 is the demand-paged
     baseline; include it so the sweep shows whether prefetching pays at
     all for the configuration.
     """

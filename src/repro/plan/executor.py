@@ -1,11 +1,11 @@
 """Execute a planned :class:`~repro.plan.Program` on a ``TidaAcc``.
 
 The executor walks the program's statements and drives the exact same
-public API the hand-built drivers use — ``fill_boundary``, ``iterator``
-+ ``compute``, ``swap``, ``reduce_field`` — so a planned run's schedule
-is operation-for-operation the schedule a careful human would have
-written.  On top of that it applies the planner's redundancy proofs
-dynamically:
+public API the hand-built §V loops (:mod:`repro.baselines.hand_built`)
+use — ``fill_boundary``, ``iterator`` + ``compute``, ``swap``,
+``reduce_field`` — so a planned run's schedule is operation-for-operation
+the schedule a careful human would have written.  On top of that it
+applies the planner's redundancy proofs dynamically:
 
 * every field carries a *halo-dirty* bit (set initially, on any write,
   and transferred by swaps); a stencil-read step fills the halo only
@@ -38,6 +38,7 @@ class ProgramRun:
     """Outcome of one ``run_program`` execution."""
 
     plan: PlanReport
+    start: float                   # virtual time the first statement ran at
     elapsed: float                 # virtual seconds
     env: dict[str, float]          # final scalar environment
     iterations: int                # trips completed by the outermost loop
@@ -269,6 +270,7 @@ def program_stepper(
     yield from ex.steps()
     return ProgramRun(
         plan=plan,
+        start=t0,
         elapsed=lib.now - t0,
         env=ex.env,
         iterations=ex.iterations,

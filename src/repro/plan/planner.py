@@ -1,6 +1,6 @@
 """The access-set planner: declarations in, full decomposition out.
 
-Everything the hand-built drivers configure by hand is derived here from
+Everything the hand-built §V loops configure by hand is derived here from
 the kernels' ``arg_access`` + ``footprint`` declarations and the
 analytic model:
 
@@ -22,8 +22,8 @@ analytic model:
 The proofs are *sound by construction*: skipping a write-back of
 unmodified data and skipping a re-fill of a clean halo both copy bytes
 that are already in place, so planner-derived runs stay byte-identical
-to hand-built ones — the conformance property ``repro.bench.plan_bench``
-gates on.
+to hand-built ones (:mod:`repro.baselines.hand_built`) — the
+conformance property ``repro.bench.plan_bench`` gates on.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Multi-tenant GPU service layer: admission control, QoS, load generation."""
 
+from ..baselines.workloads import WORKLOADS, WorkloadSpec, build_workload
 from ..errors import ServiceError
 from .admission import (
     ADMIT,
@@ -14,7 +15,6 @@ from .admission import (
 from .loadgen import Arrival, LoadGenerator, TrafficPattern
 from .service import JobResult, Service, ServiceReport, Tenant, run_solo
 from .session import ServiceSession, read_session
-from .workloads import WORKLOADS, WorkloadSpec, build_workload
 
 __all__ = [
     "ADMIT",

@@ -24,8 +24,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..baselines.workloads import WORKLOADS
 from ..errors import ServiceError
-from .workloads import WORKLOADS
 
 
 @dataclass(frozen=True)

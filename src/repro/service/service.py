@@ -37,6 +37,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..baselines.workloads import build_workload
 from ..config import MachineSpec
 from ..core.library import TidaAcc
 from ..core.slots import SlotPartitioner
@@ -60,7 +61,6 @@ from .admission import (
     plan_total_slots,
 )
 from .session import ServiceSession
-from .workloads import build_workload
 
 #: Default total device-slot budget the partitioner apportions.
 DEFAULT_TOTAL_SLOTS = 32

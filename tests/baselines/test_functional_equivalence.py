@@ -19,8 +19,7 @@ from repro.baselines import (
     run_cuda_compute,
     run_cuda_heat,
     run_hybrid_heat,
-    run_tida_compute,
-    run_tida_heat,
+    run_tida,
 )
 from repro.tida.boundary import Dirichlet, Neumann, Periodic
 
@@ -60,37 +59,37 @@ class TestHeatEquivalence:
     @pytest.mark.parametrize("n_regions", [1, 2, 4])
     def test_tida(self, heat_setup, n_regions):
         init, ref = heat_setup
-        r = run_tida_heat(shape=SHAPE, steps=STEPS, n_regions=n_regions,
-                          functional=True, initial=init[1:-1, 1:-1, 1:-1].copy())
+        r = run_tida("heat", shape=SHAPE, steps=STEPS, n_regions=n_regions,
+                     functional=True, initial=init[1:-1, 1:-1, 1:-1].copy())
         np.testing.assert_allclose(r.result, ref)
 
     def test_tida_limited_memory(self, heat_setup):
         init, ref = heat_setup
         region_bytes = 6 * 12 * 10 * 8  # grown slab of the 4-region split
-        r = run_tida_heat(shape=SHAPE, steps=STEPS, n_regions=4, n_slots=2,
-                          functional=True, initial=init[1:-1, 1:-1, 1:-1].copy())
+        r = run_tida("heat", shape=SHAPE, steps=STEPS, n_regions=4, n_slots=2,
+                     functional=True, initial=init[1:-1, 1:-1, 1:-1].copy())
         assert r.meta["n_slots"] == 2
         np.testing.assert_allclose(r.result, ref)
 
     def test_tida_cpu_execution(self, heat_setup):
         init, ref = heat_setup
-        r = run_tida_heat(shape=SHAPE, steps=STEPS, n_regions=4, gpu=False,
-                          functional=True, initial=init[1:-1, 1:-1, 1:-1].copy())
+        r = run_tida("heat", shape=SHAPE, steps=STEPS, n_regions=4, gpu=False,
+                     functional=True, initial=init[1:-1, 1:-1, 1:-1].copy())
         np.testing.assert_allclose(r.result, ref)
 
     @pytest.mark.parametrize("bc", [Dirichlet(0.7), Periodic()])
     def test_tida_other_bcs(self, bc):
         init = default_init(SHAPE, 1)
         ref = reference_heat(init, STEPS, coef=0.1, bc=bc, ghost=1)
-        r = run_tida_heat(shape=SHAPE, steps=STEPS, n_regions=4, bc=bc,
-                          functional=True, initial=init[1:-1, 1:-1, 1:-1].copy())
+        r = run_tida("heat", shape=SHAPE, steps=STEPS, n_regions=4, bc=bc,
+                     functional=True, initial=init[1:-1, 1:-1, 1:-1].copy())
         np.testing.assert_allclose(r.result, ref)
 
     def test_tida_with_sub_region_tiles(self, heat_setup):
         init, ref = heat_setup
-        r = run_tida_heat(shape=SHAPE, steps=STEPS, n_regions=2,
-                          tile_shape=(3, 10, 8), functional=True,
-                          initial=init[1:-1, 1:-1, 1:-1].copy())
+        r = run_tida("heat", shape=SHAPE, steps=STEPS, n_regions=2,
+                     tile_shape=(3, 10, 8), functional=True,
+                     initial=init[1:-1, 1:-1, 1:-1].copy())
         np.testing.assert_allclose(r.result, ref)
 
 
@@ -125,8 +124,8 @@ class TestComputeIntensiveEquivalence:
     ])
     def test_tida(self, ci_setup, kw):
         init, ref = ci_setup
-        r = run_tida_compute(shape=SHAPE, steps=STEPS, kernel_iteration=self.IT,
-                             functional=True, initial=init, **kw)
+        r = run_tida("compute", shape=SHAPE, steps=STEPS, kernel_iteration=self.IT,
+                     functional=True, initial=init, **kw)
         np.testing.assert_allclose(r.result, ref)
 
 

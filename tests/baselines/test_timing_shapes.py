@@ -12,8 +12,7 @@ from repro.baselines import (
     run_cuda_compute,
     run_cuda_heat,
     run_hybrid_heat,
-    run_tida_compute,
-    run_tida_heat,
+    run_tida,
 )
 
 SHAPE = (96, 96, 96)
@@ -56,14 +55,14 @@ class TestFig5Shape:
     def test_tida_wins_at_one_iteration(self):
         base = run_cuda_heat(shape=self.PAPER_SHAPE, steps=1, memory="pageable").elapsed
         pinned = run_cuda_heat(shape=self.PAPER_SHAPE, steps=1, memory="pinned").elapsed
-        tida = run_tida_heat(shape=self.PAPER_SHAPE, steps=1, n_regions=16).elapsed
+        tida = run_tida("heat", shape=self.PAPER_SHAPE, steps=1, n_regions=16).elapsed
         assert tida < pinned < base
 
     def test_speedups_converge_with_iterations(self):
         s1 = []
         for steps in (1, 300):
             base = run_cuda_heat(shape=self.PAPER_SHAPE, steps=steps, memory="pageable").elapsed
-            tida = run_tida_heat(shape=self.PAPER_SHAPE, steps=steps, n_regions=16).elapsed
+            tida = run_tida("heat", shape=self.PAPER_SHAPE, steps=steps, n_regions=16).elapsed
             s1.append(base / tida)
         assert s1[0] > 1.5          # clear win when transfer-dominated
         assert s1[1] < s1[0]        # advantage shrinks as compute amortizes
@@ -72,7 +71,7 @@ class TestFig5Shape:
     def test_openacc_lowest(self):
         base = run_cuda_heat(shape=self.PAPER_SHAPE, steps=100, memory="pageable").elapsed
         acc = run_acc_heat(shape=self.PAPER_SHAPE, steps=100, memory="pageable").elapsed
-        tida = run_tida_heat(shape=self.PAPER_SHAPE, steps=100, n_regions=16).elapsed
+        tida = run_tida("heat", shape=self.PAPER_SHAPE, steps=100, n_regions=16).elapsed
         assert acc > base
         assert acc > tida
 
@@ -83,7 +82,7 @@ class TestFig6Shape:
         cuda = run_cuda_compute(variant="pageable", **kw).elapsed
         fast = run_cuda_compute(variant="pinned-fastmath", **kw).elapsed
         acc = run_acc_compute(memory="pageable", **kw).elapsed
-        tida = run_tida_compute(n_regions=8, **kw).elapsed
+        tida = run_tida("compute", n_regions=8, **kw).elapsed
         assert fast < cuda
         assert acc < cuda
         assert tida < cuda
@@ -91,7 +90,7 @@ class TestFig6Shape:
     def test_tida_adds_no_overhead_vs_acc(self):
         kw = dict(shape=SHAPE, steps=10, kernel_iteration=16)
         acc = run_acc_compute(memory="pageable", **kw).elapsed
-        tida = run_tida_compute(n_regions=8, **kw).elapsed
+        tida = run_tida("compute", n_regions=8, **kw).elapsed
         assert tida <= acc * 1.05
 
 
@@ -104,24 +103,24 @@ class TestFig7Fig8Shape:
 
     def test_limited_memory_no_performance_loss(self):
         kw = dict(shape=SHAPE, steps=30, n_regions=self.N_REGIONS, kernel_iteration=48)
-        full = run_tida_compute(**kw).elapsed
-        limited = run_tida_compute(device_memory_limit=self._limit(), **kw).elapsed
+        full = run_tida("compute", **kw).elapsed
+        limited = run_tida("compute", device_memory_limit=self._limit(), **kw).elapsed
         assert limited <= full * 1.05
 
     def test_limited_memory_uses_two_slots(self):
-        r = run_tida_compute(shape=SHAPE, steps=2, n_regions=self.N_REGIONS,
-                             device_memory_limit=self._limit())
+        r = run_tida("compute", shape=SHAPE, steps=2, n_regions=self.N_REGIONS,
+                     device_memory_limit=self._limit())
         assert r.meta["n_slots"] == 2
 
     def test_full_transfer_overlap(self):
-        r = run_tida_compute(shape=SHAPE, steps=5, n_regions=self.N_REGIONS,
-                             kernel_iteration=48, device_memory_limit=self._limit())
+        r = run_tida("compute", shape=SHAPE, steps=5, n_regions=self.N_REGIONS,
+                     kernel_iteration=48, device_memory_limit=self._limit())
         assert r.trace.overlap_fraction(["h2d", "d2h"], ["compute"]) > 0.9
 
     def test_one_region_no_overhead(self):
         kw = dict(shape=SHAPE, steps=30, kernel_iteration=48)
-        one = run_tida_compute(n_regions=1, **kw).elapsed
-        many = run_tida_compute(n_regions=self.N_REGIONS, **kw).elapsed
+        one = run_tida("compute", n_regions=1, **kw).elapsed
+        many = run_tida("compute", n_regions=self.N_REGIONS, **kw).elapsed
         assert abs(one - many) / many < 0.05
 
     def test_cuda_cannot_run_limited_case(self):
@@ -137,13 +136,13 @@ class TestFig7Fig8Shape:
 class TestTransferCounts:
     def test_resident_run_transfers_once(self):
         """1000-step resident run must not re-transfer regions each step."""
-        r = run_tida_compute(shape=(32, 32, 32), steps=50, n_regions=4)
+        r = run_tida("compute", shape=(32, 32, 32), steps=50, n_regions=4)
         h2d = len(r.trace.by_category("h2d"))
         d2h = len(r.trace.by_category("d2h"))
         assert h2d == 4      # one upload per region
         assert d2h == 4      # one download per region at the end
 
     def test_streaming_run_transfers_each_step(self):
-        r = run_tida_compute(shape=(32, 32, 32), steps=10, n_regions=4, n_slots=1)
+        r = run_tida("compute", shape=(32, 32, 32), steps=10, n_regions=4, n_slots=1)
         h2d = len(r.trace.by_category("h2d"))
         assert h2d == 4 * 10

@@ -6,7 +6,7 @@ mechanism is exercised with fast, shrunken legs.
 
 import json
 
-from repro.baselines.tida_runners import run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.bench.live import Leg, _legs, _manifest, run_leg
 from repro.errors import FaultError
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
@@ -16,14 +16,14 @@ SHAPE = (64, 64, 64)
 
 def nominal_leg(name="mini_nominal"):
     return Leg(name, 1e-3,
-               lambda t: run_tida_heat(shape=SHAPE, steps=2, n_regions=4,
-                                       functional=False, telemetry=t))
+               lambda t: run_tida("heat", shape=SHAPE, steps=2, n_regions=4,
+                                  functional=False, telemetry=t))
 
 
 def incident_leg():
     return Leg("mini_incident", 1e-3,
-               lambda t: run_tida_heat(
-                   shape=SHAPE, steps=2, n_regions=4,
+               lambda t: run_tida(
+                   "heat", shape=SHAPE, steps=2, n_regions=4,
                    faults=FaultPlan([FaultRule(op="h2d")]),
                    retry=RetryPolicy(max_attempts=2),
                    functional=False, telemetry=t),
@@ -52,8 +52,8 @@ class TestRunLeg:
 
     def test_unexpected_error_is_flagged(self, tmp_path):
         leg = Leg("mini_dies", 1e-3,
-                  lambda t: run_tida_heat(
-                      shape=SHAPE, steps=2, n_regions=4,
+                  lambda t: run_tida(
+                      "heat", shape=SHAPE, steps=2, n_regions=4,
                       faults=FaultPlan([FaultRule(op="h2d")]),
                       retry=RetryPolicy(max_attempts=2),
                       functional=False, telemetry=t))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import run_tida_compute
+from repro.baselines import run_tida
 from repro.bench.report import Table
 from repro.sim.trace import Trace
 
@@ -10,8 +10,8 @@ from repro.sim.trace import Trace
 class TestTraceSummary:
     @pytest.fixture(scope="class")
     def summary(self, ):
-        r = run_tida_compute(shape=(64, 64, 64), steps=3, n_regions=4,
-                             kernel_iteration=8)
+        r = run_tida("compute", shape=(64, 64, 64), steps=3, n_regions=4,
+                     kernel_iteration=8)
         return Table.from_trace(r.trace), r
 
     def test_has_all_metrics(self, summary):

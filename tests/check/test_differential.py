@@ -12,7 +12,7 @@ import conftest
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.baselines.tida_runners import run_tida_compute, run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.check.explore import digest
 
 COMPUTE = dict(shape=(64, 16, 16), steps=2, n_regions=8,
@@ -29,19 +29,19 @@ slow_sim = settings(
 
 @pytest.fixture(scope="module")
 def compute_reference():
-    res = run_tida_compute(n_slots=3, **COMPUTE)
+    res = run_tida("compute", n_slots=3, **COMPUTE)
     return digest(res.result)
 
 
 @pytest.fixture(scope="module")
 def heat_reference():
-    res = run_tida_heat(n_slots=3, **HEAT)
+    res = run_tida("heat", n_slots=3, **HEAT)
     return digest(res.result)
 
 
-def run_config(runner, base, cfg):
-    return runner(
-        check="observe",
+def run_config(workload, base, cfg):
+    return run_tida(
+        workload, check="observe",
         eviction=cfg["eviction"],
         prefetch_depth=cfg["prefetch_depth"],
         n_slots=cfg["n_slots"],
@@ -54,7 +54,7 @@ def run_config(runner, base, cfg):
 @slow_sim
 @given(cfg=conftest.schedule_configs())
 def test_compute_schedules_byte_identical(cfg, compute_reference):
-    res = run_config(run_tida_compute, COMPUTE, cfg)
+    res = run_config("compute", COMPUTE, cfg)
     assert digest(res.result) == compute_reference, cfg
     assert res.metrics["counters"].get("check.hazards.racy", 0) == 0, cfg
 
@@ -62,7 +62,7 @@ def test_compute_schedules_byte_identical(cfg, compute_reference):
 @slow_sim
 @given(cfg=conftest.schedule_configs())
 def test_heat_schedules_byte_identical(cfg, heat_reference):
-    res = run_config(run_tida_heat, HEAT, cfg)
+    res = run_config("heat", HEAT, cfg)
     assert digest(res.result) == heat_reference, cfg
     assert res.metrics["counters"].get("check.hazards.racy", 0) == 0, cfg
 
@@ -74,6 +74,6 @@ def test_random_initial_data_agrees_with_reference_schedule(cfg, init):
     # same random field through both schedules: digests must match even
     # though neither equals the module-scope references
     base = dict(COMPUTE, initial=init)
-    res = run_config(run_tida_compute, base, cfg)
-    ref = run_tida_compute(n_slots=3, **base)
+    res = run_config("compute", base, cfg)
+    ref = run_tida("compute", n_slots=3, **base)
     assert digest(res.result) == digest(ref.result), cfg

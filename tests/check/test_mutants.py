@@ -13,7 +13,7 @@ The library-level mutants patch one ordering mechanism out of
 
 import pytest
 
-from repro.baselines.tida_runners import run_tida_compute, run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.core.tile_acc import TileAcc
 from repro.cuda.kernel import KernelSpec
 from repro.cuda.runtime import CudaRuntime
@@ -164,7 +164,7 @@ class TestTileAccReadyDepsMutant:
     """
 
     def test_fixed_twin_is_clean(self):
-        res = run_tida_heat(check="strict", **SMALL_HEAT)
+        res = run_tida("heat", check="strict", **SMALL_HEAT)
         assert res.metrics["counters"].get("check.hazards", 0) == 0
 
     def test_mutant_detected(self, monkeypatch):
@@ -172,7 +172,7 @@ class TestTileAccReadyDepsMutant:
             TileAcc, "device_ready_deps", lambda self, rid: (), raising=True
         )
         with pytest.raises(HazardError):
-            run_tida_heat(check="strict", **SMALL_HEAT)
+            run_tida("heat", check="strict", **SMALL_HEAT)
 
 
 class TestSlotBarrierMutant:
@@ -185,7 +185,7 @@ class TestSlotBarrierMutant:
     """
 
     def test_fixed_twin_is_clean(self):
-        res = run_tida_compute(check="strict", **SMALL_COMPUTE)
+        res = run_tida("compute", check="strict", **SMALL_COMPUTE)
         assert res.meta["device_memory_limit"] is not None
         assert res.metrics["counters"].get("check.hazards", 0) == 0
         # the workload genuinely evicts (else this mutant tests nothing)
@@ -203,4 +203,4 @@ class TestSlotBarrierMutant:
 
         monkeypatch.setattr(TileAcc, "_evict", leaky_evict, raising=True)
         with pytest.raises(HazardError):
-            run_tida_compute(check="strict", **SMALL_COMPUTE)
+            run_tida("compute", check="strict", **SMALL_COMPUTE)

@@ -16,17 +16,14 @@ garbage silently.
 """
 
 import json
+from functools import partial
 
 import conftest
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.tida_runners import (
-    run_tida_compute,
-    run_tida_heat,
-    run_tida_wave,
-)
+from repro.baselines.tida_runners import run_tida
 from repro.check.dag import dag_to_json
 from repro.core.library import TidaAcc
 from repro.cuda.runtime import CudaRuntime, _resolve_mode
@@ -36,9 +33,10 @@ from repro.faults.retry import RetryPolicy
 from repro.multi.heat import run_multi_gpu_heat
 
 WORKLOADS = {
-    "heat": (run_tida_heat, dict(shape=(32, 16, 16), steps=2, n_regions=8)),
-    "wave": (run_tida_wave, dict(shape=(48, 48), steps=3, n_regions=8)),
-    "limited-memory": (run_tida_compute,
+    "heat": (partial(run_tida, "heat"),
+             dict(shape=(32, 16, 16), steps=2, n_regions=8)),
+    "wave": (partial(run_tida, "wave"), dict(shape=(48, 48), steps=3, n_regions=8)),
+    "limited-memory": (partial(run_tida, "compute"),
                        dict(shape=(64, 16, 16), steps=2, n_regions=8,
                             n_slots=3, device_memory_limit=70_000)),
     "multi-gpu": (run_multi_gpu_heat,
@@ -122,7 +120,7 @@ def test_modes_identical_across_schedule_space(cfg, faults):
         if faults is not None:
             # each run needs a fresh plan: plans are stateful iterators
             kw["faults"] = FaultPlan.from_spec(faults)
-        fps.append(fingerprint(run_tida_compute(mode=mode, **kw)))
+        fps.append(fingerprint(run_tida("compute", mode=mode, **kw)))
     for part, a, b in zip(("trace", "dag", "counters", "elapsed"), *fps):
         assert a == b, f"{part} differs between modes for {cfg}, {faults}"
 

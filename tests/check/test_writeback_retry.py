@@ -18,7 +18,7 @@ byte-identical to the fault-free run.
 
 import pytest
 
-from repro.baselines.tida_runners import run_tida_compute
+from repro.baselines.tida_runners import run_tida
 from repro.check.explore import digest
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
@@ -34,8 +34,8 @@ FAULTS = "h2d:p=0.25; seed=3"
 
 @pytest.fixture(scope="module")
 def faulted_run():
-    return run_tida_compute(
-        check="observe",
+    return run_tida(
+        "compute", check="observe",
         faults=FaultPlan.from_spec(FAULTS),
         retry=RetryPolicy(max_attempts=12),
         **WORKLOAD,
@@ -66,12 +66,12 @@ class TestNoRace:
         assert counters.get("check.ops", 0) > 0  # the checker was armed
 
     def test_recovery_byte_identical_to_fault_free(self, faulted_run):
-        clean = run_tida_compute(**WORKLOAD)
+        clean = run_tida("compute", **WORKLOAD)
         assert digest(faulted_run.result) == digest(clean.result)
 
     def test_strict_mode_accepts_the_schedule(self):
-        run_tida_compute(
-            check="strict",
+        run_tida(
+            "compute", check="strict",
             faults=FaultPlan.from_spec(FAULTS),
             retry=RetryPolicy(max_attempts=12),
             **WORKLOAD,

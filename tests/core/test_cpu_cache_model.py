@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import run_tida_heat
+from repro.baselines import run_tida
 from repro.baselines.common import default_init, reference_heat
 from repro.config import k40m_pcie3
 from repro.cuda.kernel import KernelSpec
@@ -47,17 +47,17 @@ class TestCpuTilingEndToEnd:
     def test_cache_sized_tiles_faster(self):
         machine = k40m_pcie3()
         shape = (128, 128, 128)    # region WS 2 fields x 16 MB >> 30 MB LLC
-        big = run_tida_heat(machine, shape=shape, steps=3, n_regions=1,
-                            gpu=False).elapsed
-        tiled = run_tida_heat(machine, shape=shape, steps=3, n_regions=1,
-                              tile_shape=(16, 128, 128), gpu=False).elapsed
+        big = run_tida("heat", machine, shape=shape, steps=3, n_regions=1,
+                       gpu=False).elapsed
+        tiled = run_tida("heat", machine, shape=shape, steps=3, n_regions=1,
+                         tile_shape=(16, 128, 128), gpu=False).elapsed
         assert tiled < 0.7 * big
 
     def test_gpu_path_unaffected_by_cpu_spill(self):
         """The spill term is CPU-only; GPU timing is identical either way."""
         machine = k40m_pcie3()
         shape = (128, 128, 128)
-        a = run_tida_heat(machine, shape=shape, steps=2, n_regions=4, gpu=True).elapsed
+        a = run_tida("heat", machine, shape=shape, steps=2, n_regions=4, gpu=True).elapsed
         k = heat_kernel(3)
         assert k.duration_on_gpu(machine, 128**3) == pytest.approx(
             k.bytes_moved(128**3) / machine.gpu.mem_bandwidth
@@ -69,7 +69,7 @@ class TestCpuTilingEndToEnd:
         shape = (12, 8, 8)
         init = default_init(shape, 1)
         ref = reference_heat(init, 3, coef=0.1, bc=Neumann(), ghost=1)
-        r = run_tida_heat(machine, shape=shape, steps=3, n_regions=2,
-                          tile_shape=(2, 8, 8), gpu=False, functional=True,
-                          initial=init[1:-1, 1:-1, 1:-1].copy())
+        r = run_tida("heat", machine, shape=shape, steps=3, n_regions=2,
+                     tile_shape=(2, 8, 8), gpu=False, functional=True,
+                     initial=init[1:-1, 1:-1, 1:-1].copy())
         np.testing.assert_allclose(r.result, ref)

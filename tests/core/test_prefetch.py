@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.common import default_init
-from repro.baselines.tida_runners import run_tida_compute
+from repro.baselines.tida_runners import run_tida
 from repro.core.library import TidaAcc
 from repro.core.prefetch import DEFAULT_PREFETCH_DEPTH, PrefetchScheduler
 from repro.core.tile_acc import TileAcc
@@ -119,10 +119,10 @@ class TestPrefetchPipeline:
         the pipeline must beat demand paging by a clear margin."""
         common = dict(shape=(128, 128, 128), steps=40, n_regions=12,
                       n_slots=6, kernel_iteration=1)
-        demand = run_tida_compute(machine, prefetch_depth=0,
-                                  eviction="modulo", **common)
-        pf = run_tida_compute(machine, prefetch_depth=1,
-                              eviction="lookahead", **common)
+        demand = run_tida("compute", machine, prefetch_depth=0,
+                          eviction="modulo", **common)
+        pf = run_tida("compute", machine, prefetch_depth=1,
+                      eviction="lookahead", **common)
         assert pf.elapsed < demand.elapsed * 0.85
         assert cache_total(pf.metrics, "stall_seconds_avoided") > 0.0
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.common import default_init
-from repro.baselines.tida_runners import run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.core.library import TidaAcc
 from repro.core.slots import DEVICE, HOST
 from repro.core.tile_acc import TileAcc
@@ -42,9 +42,9 @@ def counters(res):
 class TestByteIdenticalRecovery:
     def test_faulted_heat_matches_fault_free(self, machine):
         kwargs = dict(shape=(48, 48), steps=4, n_regions=4, functional=True)
-        clean = run_tida_heat(machine, **kwargs)
-        faulted = run_tida_heat(
-            machine, **kwargs,
+        clean = run_tida("heat", machine, **kwargs)
+        faulted = run_tida(
+            "heat", machine, **kwargs,
             faults=FaultPlan.from_spec(SPEC), retry=RetryPolicy(max_attempts=5),
         )
         assert counters(faulted)["faults.injected"] > 0
@@ -55,8 +55,8 @@ class TestByteIdenticalRecovery:
 
     def test_faulted_run_is_deterministic(self, machine):
         def run():
-            return run_tida_heat(
-                machine, shape=(48, 48), steps=3, n_regions=4, functional=True,
+            return run_tida(
+                "heat", machine, shape=(48, 48), steps=3, n_regions=4, functional=True,
                 faults=FaultPlan.from_spec(SPEC), retry=RetryPolicy(max_attempts=5),
             )
 
@@ -67,11 +67,11 @@ class TestByteIdenticalRecovery:
 
     def test_launch_fault_recovers(self, machine):
         plan = FaultPlan([FaultRule(op="launch", nth=1)])
-        clean = run_tida_heat(machine, shape=(32, 32), steps=2, n_regions=4,
-                              functional=True)
-        faulted = run_tida_heat(machine, shape=(32, 32), steps=2, n_regions=4,
-                                functional=True, faults=plan,
-                                retry=RetryPolicy(max_attempts=3))
+        clean = run_tida("heat", machine, shape=(32, 32), steps=2, n_regions=4,
+                         functional=True)
+        faulted = run_tida("heat", machine, shape=(32, 32), steps=2, n_regions=4,
+                           functional=True, faults=plan,
+                           retry=RetryPolicy(max_attempts=3))
         assert counters(faulted)["faults.injected.launch"] == 1
         assert counters(faulted)["faults.recovered"] >= 1
         assert np.array_equal(clean.result, faulted.result)
@@ -79,9 +79,9 @@ class TestByteIdenticalRecovery:
     def test_unarmed_plan_fails_fast(self, machine):
         """No retry policy -> the injected CudaError propagates raw."""
         with pytest.raises(CudaTransferError):
-            run_tida_heat(machine, shape=(32, 32), steps=1, n_regions=4,
-                          functional=True,
-                          faults=FaultPlan([FaultRule(op="h2d", nth=1)]))
+            run_tida("heat", machine, shape=(32, 32), steps=1, n_regions=4,
+                     functional=True,
+                     faults=FaultPlan([FaultRule(op="h2d", nth=1)]))
 
 
 class TestTransferRetry:

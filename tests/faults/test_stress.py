@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from repro.baselines.tida_runners import run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.faults import FaultPlan, RetryPolicy
 
 DEFAULT_SPEC = "h2d:p=0.05; d2h:p=0.05; launch:p=0.03; seed=7"
@@ -22,9 +22,9 @@ DEFAULT_SPEC = "h2d:p=0.05; d2h:p=0.05; launch:p=0.03; seed=7"
 def test_heat_survives_fault_plan(machine):
     spec = os.environ.get("REPRO_FAULTS", DEFAULT_SPEC)
     kwargs = dict(shape=(48, 48), steps=6, n_regions=4, functional=True)
-    clean = run_tida_heat(machine, **kwargs)
-    faulted = run_tida_heat(
-        machine, **kwargs,
+    clean = run_tida("heat", machine, **kwargs)
+    faulted = run_tida(
+        "heat", machine, **kwargs,
         faults=FaultPlan.from_spec(spec), retry=RetryPolicy(max_attempts=6),
     )
     counters = faulted.metrics["counters"]

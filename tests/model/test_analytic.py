@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import run_tida_compute, run_tida_heat
+from repro.baselines import run_tida
 from repro.errors import ReproError
 from repro.kernels.compute_intensive import compute_intensive_kernel
 from repro.kernels.heat import heat_kernel
@@ -70,7 +70,7 @@ class TestModelAccuracy:
     @pytest.mark.parametrize("n_regions", [4, 16])
     def test_compute_resident(self, machine, n_regions):
         shape = (128, 128, 128)
-        sim = run_tida_compute(machine, shape=shape, steps=10, n_regions=n_regions).elapsed
+        sim = run_tida("compute", machine, shape=shape, steps=10, n_regions=n_regions).elapsed
         mod = estimate_resident(machine, compute_intensive_kernel(48),
                                 domain_cells=128**3, steps=10, n_regions=n_regions).total
         assert 0.8 < mod / sim < 1.2
@@ -78,15 +78,15 @@ class TestModelAccuracy:
     def test_compute_streaming(self, machine):
         shape = (128, 128, 128)
         region_bytes = (128**3 // 8) * 8
-        sim = run_tida_compute(machine, shape=shape, steps=10, n_regions=8,
-                               device_memory_limit=2 * region_bytes + region_bytes // 2).elapsed
+        sim = run_tida("compute", machine, shape=shape, steps=10, n_regions=8,
+                       device_memory_limit=2 * region_bytes + region_bytes // 2).elapsed
         mod = estimate_streaming(machine, compute_intensive_kernel(48),
                                  domain_cells=128**3, steps=10, n_regions=8).total
         assert 0.8 < mod / sim < 1.2
 
     def test_heat_resident(self, machine):
         shape = (256, 256, 256)
-        sim = run_tida_heat(machine, shape=shape, steps=10, n_regions=8).elapsed
+        sim = run_tida("heat", machine, shape=shape, steps=10, n_regions=8).elapsed
         mod = estimate_resident(machine, heat_kernel(3), domain_cells=256**3,
                                 steps=10, n_regions=8, fields=2, result_fields=1,
                                 ghost_width=1).total

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.tida_runners import run_tida_compute
+from repro.baselines.tida_runners import run_tida
 from repro.check.explore import perturb_machine
 from repro.config import k40m_pcie3, p100_nvlink
 from repro.errors import ReproError
@@ -21,7 +21,7 @@ def measure_factory(calls=None):
     def measure(machine):
         if calls is not None:
             calls.append(machine.name)
-        return run_tida_compute(machine, check="observe", **CONFIG)
+        return run_tida("compute", machine, check="observe", **CONFIG)
     return measure
 
 
@@ -85,7 +85,7 @@ class TestSweepMachines:
 
     def test_replay_requires_a_dag(self, base):
         def no_dag(machine):
-            res = run_tida_compute(machine, **CONFIG)   # checker disarmed
+            res = run_tida("compute", machine, **CONFIG)   # checker disarmed
             assert res.dag is None
             return res
 

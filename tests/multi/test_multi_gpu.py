@@ -105,11 +105,11 @@ class TestMultiGpuHeatCorrectness:
 
     def test_matches_single_gpu_library(self, machine, setup):
         """Multi-GPU and single-device TiDA-acc agree bit-for-bit."""
-        from repro.baselines import run_tida_heat
+        from repro.baselines import run_tida
         init = setup
-        single = run_tida_heat(machine, shape=SHAPE, steps=STEPS, n_regions=4,
-                               functional=True,
-                               initial=init[1:-1, 1:-1, 1:-1].copy())
+        single = run_tida("heat", machine, shape=SHAPE, steps=STEPS, n_regions=4,
+                          functional=True,
+                          initial=init[1:-1, 1:-1, 1:-1].copy())
         multi = run_multi_gpu_heat(machine, shape=SHAPE, steps=STEPS, n_devices=2,
                                    regions_per_device=2, functional=True,
                                    initial=init[1:-1, 1:-1, 1:-1].copy())

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.baselines.tida_runners import run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.check.dag import DagNode, dag_to_json
 from repro.config import PCIE_GEN3_X16, k40m_pcie3
 from repro.obs.critpath import (
@@ -51,8 +51,8 @@ def node(op_id, kind, label, start, end, *, deps=(), host_dep=None,
 @pytest.fixture(scope="module")
 def heat_run():
     """A checked Fig. 3-style heat solve: DAG + iteration marks."""
-    return run_tida_heat(
-        machine=k40m_pcie3(), shape=(64, 64, 64), steps=2, n_regions=4,
+    return run_tida(
+        "heat", machine=k40m_pcie3(), shape=(64, 64, 64), steps=2, n_regions=4,
         check="observe",
     )
 
@@ -296,13 +296,13 @@ class TestPcieX2Prediction:
     def test_x2_prediction_within_5pct_of_resimulation(self):
         machine = k40m_pcie3()
         kwargs = dict(shape=(128, 128, 128), steps=3, n_regions=8)
-        r = run_tida_heat(machine=machine, check="observe", **kwargs)
+        r = run_tida("heat", machine=machine, check="observe", **kwargs)
         link2 = replace(
             PCIE_GEN3_X16,
             h2d_bandwidth=2 * PCIE_GEN3_X16.h2d_bandwidth,
             d2h_bandwidth=2 * PCIE_GEN3_X16.d2h_bandwidth,
         )
-        r2 = run_tida_heat(machine=machine.with_link(link2), **kwargs)
+        r2 = run_tida("heat", machine=machine.with_link(link2), **kwargs)
         actual = r.elapsed / r2.elapsed
 
         dag = RunDag.from_nodes(r.dag)

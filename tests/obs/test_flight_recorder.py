@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.baselines.tida_runners import run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.cuda.runtime import CudaRuntime
 from repro.errors import FaultError, HazardError
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
@@ -73,9 +73,9 @@ class TestIncidentContents:
         bus.add_subscriber(rec)
         plan = FaultPlan([FaultRule(op="h2d")])
         with pytest.raises(FaultError):
-            run_tida_heat(shape=SHAPE, steps=2, n_regions=4, functional=False,
-                          faults=plan, retry=RetryPolicy(max_attempts=2),
-                          telemetry=bus)
+            run_tida("heat", shape=SHAPE, steps=2, n_regions=4, functional=False,
+                     faults=plan, retry=RetryPolicy(max_attempts=2),
+                     telemetry=bus)
         bus.close()
         assert len(rec.incident_paths) == 1
         return json.loads(rec.incident_paths[0].read_text())

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.baselines.tida_runners import run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.cuda.kernel import KernelSpec
 from repro.cuda.runtime import CudaRuntime
 from repro.obs.live import TelemetryBus, TelemetrySample, TelemetrySubscriber
@@ -158,8 +158,8 @@ class TestNoOverhead:
     """Telemetry must not perturb the run it observes."""
 
     def run(self, telemetry):
-        return run_tida_heat(shape=SHAPE, steps=2, n_regions=4,
-                             functional=False, telemetry=telemetry)
+        return run_tida("heat", shape=SHAPE, steps=2, n_regions=4,
+                        functional=False, telemetry=telemetry)
 
     def test_monitored_run_is_bit_identical(self):
         bare = self.run(None)

@@ -4,7 +4,7 @@ JSONL, identical alert sequence, identical incident.json."""
 
 import pytest
 
-from repro.baselines.tida_runners import run_tida_compute, run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.errors import FaultError
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.obs.live import FlightRecorder, TelemetryBus, Watchdog, default_detectors
@@ -18,8 +18,8 @@ def monitored_faulty_run(tmp_dir, tag):
     jsonl = tmp_dir / f"session_{tag}.jsonl"
     bus = TelemetryBus(sample_interval=INTERVAL, jsonl=jsonl)
     bus.add_subscriber(Watchdog(default_detectors(cooldown=4 * INTERVAL)))
-    run_tida_compute(
-        shape=SHAPE, steps=3, n_regions=8,
+    run_tida(
+        "compute", shape=SHAPE, steps=3, n_regions=8,
         faults=FaultPlan.from_spec("launch:p=0.5; seed=11"),
         retry=RetryPolicy(max_attempts=8),
         functional=False, telemetry=bus,
@@ -42,11 +42,11 @@ class TestSessionDeterminism:
             bus = TelemetryBus(sample_interval=INTERVAL)
             rec = bus.add_subscriber(FlightRecorder(incident_dir=inc_dir))
             with pytest.raises(FaultError):
-                run_tida_heat(shape=SHAPE, steps=2, n_regions=4,
-                              functional=False,
-                              faults=FaultPlan([FaultRule(op="h2d")]),
-                              retry=RetryPolicy(max_attempts=2),
-                              telemetry=bus)
+                run_tida("heat", shape=SHAPE, steps=2, n_regions=4,
+                         functional=False,
+                         faults=FaultPlan([FaultRule(op="h2d")]),
+                         retry=RetryPolicy(max_attempts=2),
+                         telemetry=bus)
             bus.close()
             assert len(rec.incident_paths) == 1
             return rec.incident_paths[0].read_bytes()
@@ -57,8 +57,8 @@ class TestSessionDeterminism:
         def run(seed, tag):
             jsonl = tmp_path / f"s{tag}.jsonl"
             bus = TelemetryBus(sample_interval=INTERVAL, jsonl=jsonl)
-            run_tida_compute(
-                shape=SHAPE, steps=2, n_regions=4,
+            run_tida(
+                "compute", shape=SHAPE, steps=2, n_regions=4,
                 faults=FaultPlan.from_spec(f"launch:p=0.5; seed={seed}"),
                 retry=RetryPolicy(max_attempts=8),
                 functional=False, telemetry=bus,

@@ -17,7 +17,7 @@ re-simulating.  Its contract, tested here:
 
 import pytest
 
-from repro.baselines.tida_runners import run_tida_compute, run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.check.dag import DagNode
 from repro.check.explore import perturb_machine
 from repro.config import k40m_pcie3
@@ -37,7 +37,7 @@ def machine():
 
 @pytest.fixture(scope="module")
 def heat_recording(machine):
-    return run_tida_heat(machine, check="observe", **HEAT)
+    return run_tida("heat", machine, check="observe", **HEAT)
 
 
 def spans(nodes):
@@ -64,10 +64,10 @@ class TestFidelity:
     @pytest.mark.parametrize("config", [HEAT, COMPUTE],
                              ids=["heat", "limited-memory"])
     def test_perturbed_replay_matches_resimulation(self, machine, seed, config):
-        runner = run_tida_heat if config is HEAT else run_tida_compute
-        base = runner(machine, check="observe", **config)
+        workload = "heat" if config is HEAT else "compute"
+        base = run_tida(workload, machine, check="observe", **config)
         perturbed = perturb_machine(machine, seed)
-        resim = runner(perturbed, check="observe", **config)
+        resim = run_tida(workload, perturbed, check="observe", **config)
         _, predicted = replay_machine(
             base.dag, machine=machine, perturbed=perturbed)
         actual = (max(n.end for n in resim.dag)
@@ -97,8 +97,8 @@ class TestResiduals:
     def test_fault_hang_time_survives_link_perturbation(self, machine):
         kw = dict(COMPUTE, faults=FaultPlan.from_spec("h2d:p=0.3; seed=11"),
                   retry=RetryPolicy(max_attempts=8))
-        faulty = run_tida_compute(machine, check="observe", **kw)
-        clean = run_tida_compute(machine, check="observe", **COMPUTE)
+        faulty = run_tida("compute", machine, check="observe", **kw)
+        clean = run_tida("compute", machine, check="observe", **COMPUTE)
         perturbed = perturb_machine(machine, 1)
         _, faulty_pred = replay_machine(
             faulty.dag, machine=machine, perturbed=perturbed)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.baselines.tida_runners import run_tida_heat
+from repro.baselines.tida_runners import run_tida
 from repro.obs.compare import compare_snapshots, flatten_snapshot, higher_is_better
 from repro.obs.report import build_report, load_run, main
 from repro.sim.trace import Trace
@@ -15,7 +15,7 @@ from repro.sim.trace import Trace
 @pytest.fixture(scope="module")
 def heat_run():
     """A small Fig. 5-style heat solve (timing mode: fast)."""
-    return run_tida_heat(shape=(32, 32, 32), steps=2, n_regions=4)
+    return run_tida("heat", shape=(32, 32, 32), steps=2, n_regions=4)
 
 
 @pytest.fixture(scope="module")

@@ -9,16 +9,13 @@ for fields that are actually written.
 import numpy as np
 import pytest
 
-from repro.baselines.common import apply_bc_global, default_init
-from repro.baselines.plan_runners import (
-    coeff_heat_program,
-    default_kappa,
-    run_planned_coeff_heat,
-    run_tida_coeff_heat,
-)
+from repro.baselines.common import apply_bc_global
+from repro.baselines.hand_built import run_hand_built
+from repro.baselines.tida_runners import run_tida
+from repro.baselines.workloads import build_workload
 from repro.core.library import TidaAcc
-from repro.kernels import coeff_heat_reference_step, heat_kernel
-from repro.plan import Program, halo_fill_bytes, writebacks_skipped
+from repro.kernels import coeff_heat_reference_step
+from repro.plan import halo_fill_bytes, writebacks_skipped
 from repro.tida.boundary import Neumann
 
 SHAPE = (24, 16, 16)
@@ -28,12 +25,10 @@ STEPS = 4
 @pytest.fixture
 def coeff_run(machine):
     lib = TidaAcc(machine, functional=True)
-    prog = coeff_heat_program(SHAPE, STEPS, bc=Neumann())
-    init = default_init(SHAPE, 0)
-    kappa = default_kappa(SHAPE)
-    run = lib.run_program(prog, inputs={"u_old": init, "u_new": init,
-                                        "kappa": kappa}, n_regions=4)
-    return lib, run, init, kappa
+    spec = build_workload("coeff-heat", shape=SHAPE, steps=STEPS)
+    inputs = spec.inputs
+    run = lib.run_program(spec.prog, inputs=inputs, n_regions=4)
+    return lib, run, inputs["u_old"], inputs["kappa"]
 
 
 class TestHaloElision:
@@ -73,13 +68,8 @@ class TestHaloElision:
 
     def test_written_fields_never_elide(self, machine):
         lib = TidaAcc(machine, functional=True)
-        prog = Program(SHAPE, bc=Neumann())
-        with prog.sweep(STEPS):
-            prog.step(heat_kernel(3), ("u_new", "u_old"), params={"coef": 0.1})
-            prog.swap("u_old", "u_new")
-        init = default_init(SHAPE, 0)
-        run = lib.run_program(prog, inputs={"u_old": init, "u_new": init},
-                              n_regions=4)
+        spec = build_workload("heat", shape=SHAPE, steps=STEPS)
+        run = lib.run_program(spec.prog, inputs=spec.inputs, n_regions=4)
         assert run.fills == STEPS
         assert run.fills_elided == 0
         assert run.halo_bytes_saved == 0
@@ -96,22 +86,19 @@ class TestWritebackSkips:
                   device_memory_limit=(64 * 32 * 32 * 8) * 3 // 2)
 
     def test_read_only_evictions_skip_writebacks(self):
-        planned = run_planned_coeff_heat(**self.CONFIG)
+        planned = run_tida("coeff-heat", **self.CONFIG)
         assert planned.meta["ro_fields"] == ["kappa"]
         assert planned.meta["writebacks_skipped"] > 0
 
     def test_skips_do_not_change_bytes(self):
-        naive = run_tida_coeff_heat(**self.CONFIG)
-        planned = run_planned_coeff_heat(**self.CONFIG)
+        naive = run_hand_built("coeff-heat", **self.CONFIG)
+        planned = run_tida("coeff-heat", **self.CONFIG)
         assert planned.result.tobytes() == naive.result.tobytes()
 
     def test_ledger_only_counts_proven_fields(self, machine):
         lib = TidaAcc(machine, functional=True)
-        prog = coeff_heat_program((32, 16, 16), 2)
-        plan = lib.run_program(prog, n_regions=4,
-                               inputs={"u_old": default_init((32, 16, 16), 0),
-                                       "u_new": default_init((32, 16, 16), 0),
-                                       "kappa": default_kappa((32, 16, 16))}).plan
+        spec = build_workload("coeff-heat", shape=(32, 16, 16), steps=2)
+        plan = lib.run_program(spec.prog, n_regions=4, inputs=spec.inputs).plan
         snapshot = {"counters": {
             "cache.writebacks_skipped.kappa": 3.0,
             "cache.writebacks_skipped.u_old": 7.0,   # not proven ro

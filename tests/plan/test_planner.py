@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from repro.baselines.workloads import build_workload
 from repro.cuda.kernel import KernelSpec
 from repro.errors import CudaInvalidValueError, PlanError
-from repro.kernels import coeff_heat_kernel, compute_intensive_kernel, heat_kernel, wave_kernel
+from repro.kernels import compute_intensive_kernel, heat_kernel
 from repro.plan import Program, derive_halo, plan_program
 
 
@@ -84,21 +85,11 @@ class TestDeriveHalo:
 
 
 def heat_program(shape=(32, 16, 16), steps=3):
-    prog = Program(shape)
-    with prog.sweep(steps):
-        prog.step(heat_kernel(len(shape)), ("u_new", "u_old"),
-                  params={"coef": 0.1})
-        prog.swap("u_old", "u_new")
-    return prog
+    return build_workload("heat", shape=shape, steps=steps).prog
 
 
 def coeff_program(shape=(32, 16, 16), steps=3):
-    prog = Program(shape)
-    with prog.sweep(steps):
-        prog.step(coeff_heat_kernel(len(shape)), ("u_new", "u_old", "kappa"),
-                  params={"coef": 0.1})
-        prog.swap("u_old", "u_new")
-    return prog
+    return build_workload("coeff-heat", shape=shape, steps=steps).prog
 
 
 class TestGhostDerivation:
@@ -118,12 +109,7 @@ class TestGhostDerivation:
         assert plan.fields["data"].halo == (0, 0)
 
     def test_wave_three_way_rotation_shares_halo(self, machine):
-        prog = Program((32, 32))
-        with prog.sweep(2):
-            prog.step(wave_kernel(2), ("u_next", "u", "u_prev"),
-                      params={"c2": 0.25})
-            prog.swap("u_prev", "u")
-            prog.swap("u", "u_next")
+        prog = build_workload("wave", shape=(32, 32), steps=2).prog
         plan = plan_program(prog, machine=machine)
         assert all(plan.fields[n].halo == (1, 1)
                    for n in ("u_next", "u", "u_prev"))

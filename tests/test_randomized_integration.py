@@ -8,7 +8,7 @@ every combination must match the pure-numpy reference exactly.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import run_tida_heat
+from repro.baselines import run_tida
 from repro.baselines.common import default_init, reference_heat
 from repro.config import k40m_pcie3
 from repro.tida.boundary import Dirichlet, Neumann, Periodic
@@ -44,8 +44,8 @@ def test_random_heat_configurations_match_reference(cfg):
 
     init = default_init(shape, 1)
     ref = reference_heat(init, cfg["steps"], coef=0.1, bc=cfg["bc"], ghost=1)
-    r = run_tida_heat(
-        k40m_pcie3(),
+    r = run_tida(
+        "heat", k40m_pcie3(),
         shape=shape,
         steps=cfg["steps"],
         n_regions=cfg["n_regions"],
